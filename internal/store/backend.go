@@ -9,12 +9,11 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
+
+	"repro/internal/journal"
 )
 
 // Backend is a content-addressed byte store. Implementations must be safe
@@ -57,22 +56,21 @@ type record struct {
 }
 
 // jsonlBackend is the default file format: one JSON object per line,
-// append-only, flushed per Put, fully indexed in memory at open. It is
+// append-only, written through per Put (no fsync — a cache), fully indexed
+// in memory at open. The file is an internal/journal NDJSON log, which
+// owns the corrupt-tolerant scan and the torn-tail heal. It is
 // bit-compatible with every store file written since the format was
 // introduced; Open auto-detects it (anything without the embedded
 // backend's magic header).
 //
 // Concurrency: safe within one process. Two processes appending to one
-// JSONL file interleave whole lines only by luck of the flush size — use
+// JSONL file interleave whole lines only by luck of the write size — use
 // the embedded backend when daemons must share a file.
 type jsonlBackend struct {
-	mu      sync.Mutex
-	path    string
-	f       *os.File
-	w       *bufio.Writer
-	mem     map[string][]byte
-	order   []string // insertion order, for deterministic iteration
-	corrupt int
+	mu    sync.Mutex
+	j     *journal.Journal
+	mem   map[string][]byte
+	order []string // insertion order, for deterministic iteration
 }
 
 // openJSONL loads (or creates) the JSONL file at path. Undecodable lines
@@ -80,46 +78,27 @@ type jsonlBackend struct {
 // Corrupt(); every well-formed record is kept. A record whose hash
 // repeats overwrites the earlier payload (last writer wins).
 func openJSONL(path string) (*jsonlBackend, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open: %w", err)
-	}
-	b := &jsonlBackend{path: path, f: f, mem: map[string][]byte{}}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	b := &jsonlBackend{mem: map[string][]byte{}}
+	j, err := journal.Open(path, func(line []byte) bool {
 		var r record
-		if err := json.Unmarshal(line, &r); err != nil || r.Hash == "" || len(r.Payload) == 0 {
-			b.corrupt++
-			continue
+		if json.Unmarshal(line, &r) != nil || r.Hash == "" || len(r.Payload) == 0 {
+			return false
 		}
-		if _, seen := b.mem[r.Hash]; !seen {
-			b.order = append(b.order, r.Hash)
-		}
-		b.mem[r.Hash] = append([]byte(nil), r.Payload...)
+		b.index(r.Hash, r.Payload) // Unmarshal copied the payload out of line
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: scan %s: %w", path, err)
-	}
-	// A run killed mid-write leaves an unterminated partial line at the
-	// tail. Terminate it before appending, or the first new record would
-	// be glued onto the garbage and lost at the next open.
-	if end, err := f.Seek(0, 2); err == nil && end > 0 {
-		buf := make([]byte, 1)
-		if _, err := f.ReadAt(buf, end-1); err == nil && buf[0] != '\n' {
-			if _, err := f.Write([]byte("\n")); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("store: terminate partial tail: %w", err)
-			}
-		}
-	}
-	b.w = bufio.NewWriter(f)
+	b.j = j
 	return b, nil
+}
+
+func (b *jsonlBackend) index(hash string, payload []byte) {
+	if _, seen := b.mem[hash]; !seen {
+		b.order = append(b.order, hash)
+	}
+	b.mem[hash] = payload
 }
 
 func (b *jsonlBackend) Get(hash string) ([]byte, bool, error) {
@@ -129,26 +108,15 @@ func (b *jsonlBackend) Get(hash string) ([]byte, bool, error) {
 	return p, ok, nil
 }
 
+// Put holds the index lock across the journal write so the file and the
+// index agree on which of two racing Puts of one hash came last.
 func (b *jsonlBackend) Put(hash string, payload []byte) error {
-	line, err := json.Marshal(record{Hash: hash, Payload: payload})
-	if err != nil {
-		return fmt.Errorf("store: put: %w", err)
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.f == nil {
-		return fmt.Errorf("store: put %.12s…: store is closed", hash)
+	if err := b.j.Write(record{Hash: hash, Payload: payload}); err != nil {
+		return fmt.Errorf("store: put %.12s…: %w", hash, err)
 	}
-	if _, err := b.w.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("store: append: %w", err)
-	}
-	if err := b.w.Flush(); err != nil {
-		return fmt.Errorf("store: flush: %w", err)
-	}
-	if _, seen := b.mem[hash]; !seen {
-		b.order = append(b.order, hash)
-	}
-	b.mem[hash] = append([]byte(nil), payload...)
+	b.index(hash, append([]byte(nil), payload...))
 	return nil
 }
 
@@ -157,9 +125,7 @@ func (b *jsonlBackend) Scan(fn func(hash string, payload []byte) error) error {
 	hashes := append([]string(nil), b.order...)
 	b.mu.Unlock()
 	for _, h := range hashes {
-		b.mu.Lock()
-		p := b.mem[h]
-		b.mu.Unlock()
+		p, _, _ := b.Get(h)
 		if err := fn(h, p); err != nil {
 			return err
 		}
@@ -173,25 +139,8 @@ func (b *jsonlBackend) Len() int {
 	return len(b.mem)
 }
 
-func (b *jsonlBackend) Corrupt() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.corrupt
-}
+func (b *jsonlBackend) Corrupt() int { return b.j.Corrupt() }
 
-// Close flushes and closes the backing file. The in-memory index stays
-// readable; further Puts fail.
-func (b *jsonlBackend) Close() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.f == nil {
-		return nil
-	}
-	flushErr := b.w.Flush()
-	closeErr := b.f.Close()
-	b.f = nil
-	if flushErr != nil {
-		return fmt.Errorf("store: close: %w", flushErr)
-	}
-	return closeErr
-}
+// Close closes the backing file. It is idempotent; the in-memory index
+// stays readable, and further Puts fail.
+func (b *jsonlBackend) Close() error { return b.j.Close() }
