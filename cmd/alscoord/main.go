@@ -144,7 +144,7 @@ func main() {
 		logger.Info("tracing enabled", "path", "/debug/traces", "capacity", *traceBuf)
 	}
 
-	c, err := coord.New(coord.Options{
+	c, err := coord.New(context.Background(), coord.Options{
 		Store:               st,
 		WAL:                 wal,
 		Logger:              logger,

@@ -14,26 +14,29 @@
 //	experiments -check testdata/golden_quick.json     # CI regression gate
 //	experiments -update-golden testdata/golden_quick.json
 //
-// With -workers the job graph is dispatched to a fleet of alsd daemons
-// over HTTP instead of (or in addition to) the local pool:
+// With -workers the job graph runs on a hand-listed fleet of alsd
+// daemons instead of the local pool:
 //
 //	experiments -exp all -workers http://h1:8080,http://h2:8080 -out results/
-//	experiments -exp all -workers http://h1:8080 -jobs 4   # plus 4 local lanes
+//	experiments -exp all -workers http://h1:8080 -jobs 4   # plus a 4-flow local share
 //	experiments -check testdata/golden_quick.json -workers http://h1:8080
 //
-// Cells are partitioned across workers by content hash, finished cells
-// stream into the -out store as they complete (so -resume works exactly
-// as in a local run), transient worker failures retry with capped
-// backoff, and a dead worker's remaining cells fail over to the
-// survivors. Because every cell is a pure function of its hash, a
+// The command embeds a cluster coordinator (internal/coord) on a loopback
+// port, declares each listed URL to it (a URL listed twice is one
+// worker), and with -jobs N also declares an in-process alsd running N
+// flows at once. The coordinator schedules cells from one fair queue by
+// observed throughput; a worker that exhausts its retry budget is dropped
+// and its cells go back on the queue for the survivors. Finished cells
+// stream into the -out store as they complete, so -resume works exactly
+// as in a local run. Because every cell is a pure function of its hash, a
 // distributed run renders byte-identical json/csv output to a
 // single-machine run.
 //
-// With -coord the sweep goes through the cluster coordinator (alscoord)
-// instead of a hand-listed fleet: workers join by registering
-// (`alsd -register`), the coordinator schedules by observed throughput,
-// and this command is a thin client of the same job API — output stays
-// byte-identical to -workers and local runs:
+// With -coord the sweep goes through a standalone coordinator (alscoord)
+// whose workers join by registering (`alsd -register`). This command is
+// the same client of the same job API, so output stays byte-identical to
+// -workers and local runs; -jobs does not combine with it (the
+// coordinator schedules every cell):
 //
 //	experiments -exp all -coord http://coord:9090 -out results/
 //
@@ -61,6 +64,7 @@ import (
 	"syscall"
 
 	als "repro"
+	"repro/internal/coord"
 	"repro/internal/dispatch"
 	"repro/internal/exp"
 	"repro/internal/store"
@@ -90,8 +94,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		pop      = fs.Int("pop", 0, "override population size")
 		iters    = fs.Int("iters", 0, "override iterations/rounds")
 		vectors  = fs.Int("vectors", 0, "override Monte-Carlo vector count")
-		jobs     = fs.Int("jobs", 0, "concurrent experiment cells (0 = GOMAXPROCS); with -workers, the local share (0 = remote only)")
-		workers  = fs.String("workers", "", "comma-separated alsd worker URLs; distribute cells across them by content hash (legacy static fleet)")
+		jobs     = fs.Int("jobs", 0, "concurrent experiment cells (0 = GOMAXPROCS); with -workers, flows of an in-process worker added to the fleet (0 = remote only)")
+		workers  = fs.String("workers", "", "comma-separated alsd worker URLs; schedule cells across them through an embedded coordinator")
 		coordURL = fs.String("coord", "", "alscoord base URL; dispatch cells through the cluster coordinator (workers join by registering)")
 		outDir   = fs.String("out", "", "directory for the persistent result store and rendered reports")
 		backend  = fs.String("store-backend", "auto", "result-store backend for -out: auto, jsonl or embedded (see docs/STORAGE.md)")
@@ -158,7 +162,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	// -metrics-addr makes a long sweep observable from outside: a tiny
-	// HTTP server exposes the dispatch lane counters plus the -out store
+	// HTTP server exposes the dispatch lane counters, the embedded
+	// coordinator's cluster instruments (-workers) and the -out store
 	// traffic for the run's duration. Registered before the runner is
 	// built so both local and distributed runs share the registry.
 	var (
@@ -185,14 +190,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "-coord and -workers are mutually exclusive (the coordinator owns the fleet)")
 		return 2
 	}
-	workerList := *workers
-	if *coordURL != "" {
-		// The coordinator serves the same worker job API as any alsd, so
-		// coordinator mode is the legacy client pointed at one URL: batch
-		// submit, poll by hash, identical bytes out.
-		workerList = *coordURL
+	if *coordURL != "" && *jobs > 0 {
+		fmt.Fprintln(stderr, "-coord and -jobs are mutually exclusive (the coordinator schedules every cell; add capacity with alsd -register)")
+		return 2
 	}
-	runner, err := newJobRunner(workerList, *jobs, dm, tracer, stderr)
+	runner, err := newJobRunner(*workers, *coordURL, *jobs, dm, tracer, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -306,18 +308,32 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// jobRunner abstracts where cells execute: the local worker pool, or a
-// distributed fleet through the dispatch coordinator. Either way the
-// ResultSet is keyed by content hash and carries identical deterministic
-// metrics, so everything downstream (rendering, golden checks, stores) is
-// oblivious to the choice.
+// jobRunner abstracts where cells execute: the local worker pool, a
+// declared fleet behind an embedded coordinator, or a standalone
+// coordinator. Either way the ResultSet is keyed by content hash and
+// carries identical deterministic metrics, so everything downstream
+// (rendering, golden checks, stores) is oblivious to the choice.
 type jobRunner func(ctx context.Context, jobs []exp.Job, st *store.Store) (exp.ResultSet, exp.RunStats, error)
 
-// newJobRunner builds the runner for this invocation. Without -workers,
-// cells run on a local pool of `localJobs` goroutines; with -workers they
-// are partitioned across the fleet, and localJobs > 0 adds that many
-// local lanes (the coordinator machine's share).
-func newJobRunner(workersCSV string, localJobs int, dm *dispatch.Metrics, tracer *trace.Tracer, stderr io.Writer) (jobRunner, error) {
+// newJobRunner builds the runner for this invocation. Without -workers or
+// -coord, cells run on a local pool of `localJobs` goroutines; with
+// -workers they run through coord.RunFleet, where localJobs > 0 adds an
+// in-process worker; with -coord the client drives the coordinator's URL.
+func newJobRunner(workersCSV, coordURL string, localJobs int, dm *dispatch.Metrics, tracer *trace.Tracer, stderr io.Writer) (jobRunner, error) {
+	opts := dispatch.Options{
+		Metrics: dm,
+		Tracer:  tracer,
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(stderr, format+"\n", args...)
+		},
+	}
+	if coordURL != "" {
+		return func(ctx context.Context, jobs []exp.Job, st *store.Store) (exp.ResultSet, exp.RunStats, error) {
+			opts.Store = st
+			rs, stats, err := dispatch.Run(ctx, baseURL(coordURL), jobs, opts)
+			return rs, stats.RunStats, err
+		}, nil
+	}
 	if workersCSV == "" {
 		return func(ctx context.Context, jobs []exp.Job, st *store.Store) (exp.ResultSet, exp.RunStats, error) {
 			return exp.RunJobsContext(ctx, jobs, localJobs, st)
@@ -325,31 +341,27 @@ func newJobRunner(workersCSV string, localJobs int, dm *dispatch.Metrics, tracer
 	}
 	var urls []string
 	for _, u := range strings.Split(workersCSV, ",") {
-		u = strings.TrimSpace(u)
-		if u == "" {
-			continue
+		if u = baseURL(u); u != "" {
+			urls = append(urls, u)
 		}
-		if !strings.Contains(u, "://") {
-			u = "http://" + u
-		}
-		urls = append(urls, u)
 	}
 	if len(urls) == 0 {
 		return nil, errors.New("-workers given but no worker URLs parsed")
 	}
 	return func(ctx context.Context, jobs []exp.Job, st *store.Store) (exp.ResultSet, exp.RunStats, error) {
-		rs, dstats, err := dispatch.Run(ctx, jobs, dispatch.Options{
-			Workers:   urls,
-			LocalJobs: localJobs,
-			Store:     st,
-			Metrics:   dm,
-			Tracer:    tracer,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(stderr, format+"\n", args...)
-			},
-		})
-		return rs, dstats.RunStats, err
+		opts.Store = st
+		rs, stats, err := coord.RunFleet(ctx, jobs, urls, localJobs, opts)
+		return rs, stats.RunStats, err
 	}, nil
+}
+
+// baseURL trims a flag-supplied URL and defaults its scheme to http.
+func baseURL(u string) string {
+	u = strings.TrimSpace(u)
+	if u != "" && !strings.Contains(u, "://") {
+		u = "http://" + u
+	}
+	return u
 }
 
 // writeTrace dumps the tracer's buffered spans as JSONL.

@@ -1,22 +1,20 @@
-// Package coord is the cluster control plane: a long-lived coordinator
-// daemon (cmd/alscoord) that owns fleet membership, scheduling and result
-// delivery for a fleet of alsd workers.
+// Package coord is the cluster control plane and the one scheduler of
+// the worker fleet. It runs two ways: as the long-lived alscoord daemon
+// (cmd/alscoord), where alsd workers join by registering, and embedded
+// in `experiments -workers` (RunFleet, fleet.go), where the hand-listed
+// URLs are declared up front. Either way:
 //
-// Where the legacy fleet mode (cmd/experiments -workers) hand-lists
-// worker URLs and partitions cells statically by content hash, the
-// coordinator is registration-driven and throughput-adaptive:
-//
-//   - Workers join with POST /cluster/register and stay live by
-//     heartbeating (queue depth and evals/sec from their own telemetry
-//     counters ride along). A worker that misses ExpireAfter heartbeats
-//     is drained: its lane stops, its in-flight cells fail over to the
-//     queue, and it is forgotten until it re-registers — never re-probed.
-//   - Each registered worker is driven by the same lane engine the legacy
-//     mode uses (dispatch.Lane: batch submit, poll by hash, capped
-//     backoff, store-consulted 404 resubmit), but lanes pull from one
-//     shared weighted-fair queue instead of a static partition, sized by
-//     the worker's observed completion rate, so fast workers naturally
-//     take more and idle lanes steal queue-full handbacks.
+//   - Each worker is driven by the shared lane engine (dispatch.Lane:
+//     batch submit, poll by hash, capped backoff, store-consulted 404
+//     resubmit). Lanes pull from one weighted-fair queue, sized by the
+//     worker's observed completion rate, so fast workers naturally take
+//     more and idle lanes steal queue-full handbacks.
+//   - A lane that exhausts its retry budget drops its worker and returns
+//     the worker's cells to the queue (requeue), where the survivors pick
+//     them up. Registered workers also stay live by heartbeating: one
+//     that misses ExpireAfter heartbeats is drained the same way. Declared
+//     workers never heartbeat and never expire; only their lane's retry
+//     budget finds them dead.
 //   - Jobs carry a tenant and a priority; dequeue is weighted-fair across
 //     tenants (queue.go) and per-tenant quotas bound how much any one
 //     tenant may keep pending.
@@ -31,10 +29,10 @@
 // deliveries survive a SIGKILL and replay on restart.
 //
 // The coordinator serves the same worker job API as every alsd
-// (POST /v1/jobs, GET /v1/jobs/{hash}, /healthz), so `experiments
-// -coord=URL` is simply the legacy client pointed at one URL — results
-// are byte-identical to local and static-fleet runs because a cell is a
-// pure function of its content hash, wherever it runs.
+// (POST /v1/jobs, GET /v1/jobs/{hash}, /healthz), so both `experiments
+// -coord=URL` and the embedded fleet drive it with the single-URL client
+// dispatch.Run — results are byte-identical to local runs because a cell
+// is a pure function of its content hash, wherever it runs.
 package coord
 
 import (
@@ -92,7 +90,8 @@ type Options struct {
 	MaxPendingPerTenant int
 	// TenantWeights skews the fair dequeue (default weight 1 per tenant).
 	TenantWeights map[string]int
-	// Lane knobs, same semantics and defaults as dispatch.Options.
+	// Lane knobs; zero values take the dispatch.Lane defaults. Client
+	// also delivers webhooks (default there: webhookClient).
 	Client       *http.Client
 	SubmitBatch  int
 	RetryBudget  int
@@ -120,27 +119,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxPendingPerTenant <= 0 {
 		o.MaxPendingPerTenant = 4096
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if o.SubmitBatch <= 0 {
-		o.SubmitBatch = 16
-	}
-	if o.SubmitBatch > service.MaxBatchJobs {
-		o.SubmitBatch = service.MaxBatchJobs
-	}
-	if o.RetryBudget <= 0 {
-		o.RetryBudget = 4
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 100 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 2 * time.Second
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 50 * time.Millisecond
 	}
 	if o.WebhookRetryBudget <= 0 {
 		o.WebhookRetryBudget = 6
@@ -193,20 +171,30 @@ type Coordinator struct {
 	workerSeq       int
 	subs            map[string]*subscription
 	subSeq          int
+
+	// onFleetDead, when set before the first worker joins, runs once the
+	// last worker's lane has died (RunFleet uses it to end its run).
+	onFleetDead func()
 }
 
 // New builds the coordinator, replays its WAL, and starts the heartbeat
-// sweeper. opts.Store is required.
-func New(opts Options) (*Coordinator, error) {
+// sweeper. opts.Store is required. Cancelling ctx stops every lane, like
+// Close; a span on ctx parents the coordinator's register, lane and steal
+// spans, which are trace roots otherwise.
+func New(ctx context.Context, opts Options) (*Coordinator, error) {
+	return newCoordinator(ctx, opts, newCoordMetrics(opts.Metrics, nil))
+}
+
+func newCoordinator(ctx context.Context, opts Options, met *coordMetrics) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	if opts.Store == nil {
 		return nil, errors.New("coord: a shared result store is required")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(ctx)
 	c := &Coordinator{
 		opts:            opts,
 		log:             opts.Logger,
-		met:             newCoordMetrics(opts.Metrics),
+		met:             met,
 		baseCtx:         ctx,
 		baseCancel:      cancel,
 		cells:           map[string]*cellState{},
@@ -377,7 +365,7 @@ func (c *Coordinator) submitOne(j exp.Job, tenant string, priority int, replay b
 	c.mu.Unlock()
 	c.walAccept(cl)
 	c.queue.push(cl)
-	c.log.Info("cell queued", "hash", hash, "tenant", tenant, "priority", priority, "spec", j.String())
+	c.log.Debug("cell queued", "hash", hash, "tenant", tenant, "priority", priority, "spec", j.String())
 	return v, nil
 }
 
@@ -445,7 +433,7 @@ func (c *Coordinator) assign(w *worker, cl *cellState) *dispatch.Task {
 	cl.status = service.StatusRunning
 	if cl.lastWorker != "" && cl.lastWorker != w.id {
 		c.met.steals.Inc()
-		sp := c.opts.Tracer.StartRoot("coord.steal")
+		sp := c.startSpan("coord.steal")
 		sp.SetAttr("hash", cl.hash)
 		sp.SetAttr("from", cl.lastWorker)
 		sp.SetAttr("to", w.id)
@@ -510,6 +498,15 @@ func (c *Coordinator) requeue(tasks []*dispatch.Task) {
 		c.mu.Unlock()
 		c.queue.push(cl)
 	}
+}
+
+// startSpan opens a coordinator span: a child of the span New's context
+// carries (the embedded fleet's sweep), a trace root otherwise (alscoord).
+func (c *Coordinator) startSpan(name string) *trace.Span {
+	if parent := trace.FromContext(c.baseCtx); parent != nil {
+		return parent.StartChild(name)
+	}
+	return c.opts.Tracer.StartRoot(name)
 }
 
 // Handler and registration/heartbeat live in http.go and registry.go;

@@ -128,7 +128,7 @@ func newCoord(t *testing.T, opts Options) (*Coordinator, *httptest.Server) {
 		t.Cleanup(func() { st.Close() })
 		opts.Store = st
 	}
-	c, err := New(fastOpts(opts))
+	c, err := New(context.Background(), fastOpts(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +238,7 @@ func TestCoordinatorSweepMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, stats, err := dispatch.Run(context.Background(), jobs, dispatch.Options{
-		Workers:      []string{ts.URL},
+	got, stats, err := dispatch.Run(context.Background(), ts.URL, jobs, dispatch.Options{
 		PollInterval: 2 * time.Millisecond,
 		Backoff:      2 * time.Millisecond,
 		Logf:         t.Logf,
@@ -333,8 +332,7 @@ func TestHeartbeatExpiryFailsOver(t *testing.T) {
 		}
 	}()
 
-	got, _, err := dispatch.Run(context.Background(), jobs, dispatch.Options{
-		Workers:      []string{ts.URL},
+	got, _, err := dispatch.Run(context.Background(), ts.URL, jobs, dispatch.Options{
 		PollInterval: 2 * time.Millisecond,
 		Backoff:      2 * time.Millisecond,
 		Logf:         t.Logf,
@@ -357,6 +355,39 @@ func TestHeartbeatExpiryFailsOver(t *testing.T) {
 	}
 }
 
+// TestDeclaredWorkerNeverExpires: a worker declared by the embedding run
+// (RunFleet) never heartbeats, so the sweeper must leave it alone — past
+// ExpireAfter × HeartbeatInterval it is still registered and still the
+// one worker the sweep's cells are scheduled on.
+func TestDeclaredWorkerNeverExpires(t *testing.T) {
+	jobs := testJobs(33)
+	want := wantResults(t, jobs)
+	c, ts := newCoord(t, Options{HeartbeatInterval: 10 * time.Millisecond, ExpireAfter: 2})
+	w := newWorker(t, service.Options{})
+	if _, err := c.register(w.URL, true); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(10 * 2 * 10 * time.Millisecond) // ten expiry deadlines of silence
+
+	got, _, err := dispatch.Run(context.Background(), ts.URL, jobs, dispatch.Options{
+		PollInterval: 2 * time.Millisecond,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameMetrics(t, got, want)
+	if ws := c.Workers(); len(ws) != 1 || ws[0].URL != w.URL {
+		t.Fatalf("declared worker expired: %+v", ws)
+	}
+	if n := c.met.expired.Value(); n != 0 {
+		t.Fatalf("als_cluster_workers_expired_total = %d, want 0", n)
+	}
+	if n := c.met.dispatch; n == nil {
+		t.Fatal("dispatch instruments missing")
+	}
+}
+
 // TestTenantQuotaCutsBatch: intake beyond the tenant's pending cap is cut
 // with the accepted prefix and the queue-full reason — and a WAL replay
 // of those same accepts is exempt, so a coordinator restarted with a
@@ -373,7 +404,7 @@ func TestTenantQuotaCutsBatchAndReplayIsExempt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c1, err := New(fastOpts(Options{Store: st, WAL: wal, MaxPendingPerTenant: 2}))
+	c1, err := New(context.Background(), fastOpts(Options{Store: st, WAL: wal, MaxPendingPerTenant: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +429,7 @@ func TestTenantQuotaCutsBatchAndReplayIsExempt(t *testing.T) {
 	if n := len(wal2.Pending()); n != 2 {
 		t.Fatalf("wal holds %d pending cells, want 2", n)
 	}
-	c2, err := New(fastOpts(Options{Store: st, WAL: wal2, MaxPendingPerTenant: 1}))
+	c2, err := New(context.Background(), fastOpts(Options{Store: st, WAL: wal2, MaxPendingPerTenant: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +456,7 @@ func TestWALReplayResumesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, err := New(fastOpts(Options{Store: st, WAL: wal}))
+	c1, err := New(context.Background(), fastOpts(Options{Store: st, WAL: wal}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +469,7 @@ func TestWALReplayResumesSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wal2.Close()
-	c2, err := New(fastOpts(Options{Store: st, WAL: wal2}))
+	c2, err := New(context.Background(), fastOpts(Options{Store: st, WAL: wal2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,6 +623,11 @@ func TestWebhookExactlyOnce(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// The sink counts an envelope before the coordinator reads its 2xx and
+	// counts the delivery; give the last one that moment.
+	for deadline = time.Now().Add(10 * time.Second); c.met.deliveries.Value() < int64(2*len(hashes)) && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
 	if n := c.met.deliveries.Value(); n != int64(2*len(hashes)) {
 		t.Fatalf("als_webhook_deliveries_total = %d, want %d", n, 2*len(hashes))
 	}
@@ -625,7 +661,7 @@ func TestWebhookRedeliveryAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, err := New(fastOpts(Options{Store: st, WAL: wal, WebhookRetryBudget: 2}))
+	c1, err := New(context.Background(), fastOpts(Options{Store: st, WAL: wal, WebhookRetryBudget: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,15 +694,18 @@ func TestWebhookRedeliveryAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wal2.Close()
-	c2, err := New(fastOpts(Options{Store: st, WAL: wal2}))
+	c2, err := New(context.Background(), fastOpts(Options{Store: st, WAL: wal2}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
 	deadline = time.Now().Add(10 * time.Second)
 	for {
+		// The sink counts the envelope before the coordinator reads the
+		// 2xx and logs the delivery; wait for both, or closing in between
+		// legitimately re-arms the envelope (at-least-once).
 		seen, _ := snk.counts()
-		if seen[h] == 1 {
+		if seen[h] == 1 && c2.met.deliveries.Value() == 1 {
 			break
 		}
 		if seen[h] > 1 {
@@ -687,7 +726,7 @@ func TestWebhookRedeliveryAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wal3.Close()
-	c3, err := New(fastOpts(Options{Store: st, WAL: wal3}))
+	c3, err := New(context.Background(), fastOpts(Options{Store: st, WAL: wal3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -731,7 +770,7 @@ func TestIntakeDedup(t *testing.T) {
 	if err := st2.Put(h, want[h]); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := New(fastOpts(Options{Store: st2}))
+	c2, err := New(context.Background(), fastOpts(Options{Store: st2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -891,7 +930,7 @@ func TestHTTPSurface(t *testing.T) {
 // TestClusterMetricNamesFrozen pins the coordinator's registration order
 // and requires the shared contract file to end with exactly these names.
 func TestClusterMetricNamesFrozen(t *testing.T) {
-	m := newCoordMetrics(nil)
+	m := newCoordMetrics(nil, nil)
 	got := m.registry.MetricNames()
 	if len(got) < len(clusterMetricNames) {
 		t.Fatalf("registry has %d metrics, want at least %d", len(got), len(clusterMetricNames))

@@ -37,11 +37,14 @@ type coordMetrics struct {
 	retries    *telemetry.Counter
 }
 
-func newCoordMetrics(reg *telemetry.Registry) *coordMetrics {
+// newCoordMetrics registers the cluster instruments on reg (a private
+// registry when nil), followed by the dispatch lane instruments unless dm
+// already holds them.
+func newCoordMetrics(reg *telemetry.Registry, dm *dispatch.Metrics) *coordMetrics {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	return &coordMetrics{
+	m := &coordMetrics{
 		registry: reg,
 		workers: reg.Gauge("als_cluster_workers",
 			"Registered workers currently live (heartbeating)."),
@@ -57,6 +60,10 @@ func newCoordMetrics(reg *telemetry.Registry) *coordMetrics {
 			"Webhook envelopes acknowledged (2xx) by subscribers."),
 		retries: reg.Counter("als_webhook_retries_total",
 			"Webhook delivery attempts that failed and were retried."),
-		dispatch: dispatch.NewMetrics(reg),
+		dispatch: dm,
 	}
+	if m.dispatch == nil {
+		m.dispatch = dispatch.NewMetrics(reg)
+	}
+	return m
 }

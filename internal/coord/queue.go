@@ -1,9 +1,10 @@
 // The cluster work queue: weighted-fair across tenants, priority-ordered
-// within one. Unlike the static hash partitions of the legacy fleet mode,
-// every registered worker's lane pulls from this one queue, so placement
-// follows observed throughput (a fast worker simply comes back for more
-// sooner) and an idle lane naturally steals cells another worker had to
-// hand back. None of this affects results: a cell is a pure function of
+// within one. It is the fleet's only scheduler: every worker's lane —
+// registered with alscoord or declared by `experiments -workers` — pulls
+// from this one queue, so placement follows observed throughput (a fast
+// worker simply comes back for more sooner), an idle lane naturally
+// steals cells another worker had to hand back, and a dead worker's cells
+// return here for the survivors. None of this affects results: a cell is a pure function of
 // its content hash, so scheduling only decides who computes what first.
 package coord
 

@@ -15,12 +15,15 @@ import (
 	"repro/internal/trace"
 )
 
-// worker is one registered alsd. Mutable fields are guarded by the
-// coordinator mutex.
+// worker is one registered or declared alsd. Mutable fields are guarded
+// by the coordinator mutex.
 type worker struct {
 	id     string
 	url    string
 	cancel context.CancelFunc
+	// declared workers were named by the embedding run rather than
+	// registered; they never heartbeat, so the sweeper leaves them alone.
+	declared bool
 
 	lastBeat    time.Time
 	queueDepth  int
@@ -53,41 +56,41 @@ const windowHorizon = 2 * time.Second
 const optimisticWindow = 4
 
 // window is the adaptive submit cap for one worker: observed rate times
-// the horizon, clamped to [1, SubmitBatch]; a worker whose heartbeat
-// reports a saturated queue is held to 1 until it drains.
-func (c *Coordinator) window(w *worker) int {
+// the horizon, clamped to [1, batch]; a worker whose heartbeat reports a
+// saturated queue is held to 1 until it drains.
+func (c *Coordinator) window(w *worker, batch int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if w.queueDepth >= c.opts.SubmitBatch*2 {
+	if w.queueDepth >= batch*2 {
 		return 1
 	}
 	if w.rate == 0 {
 		return optimisticWindow
 	}
-	n := int(w.rate * windowHorizon.Seconds())
-	if n < 1 {
-		n = 1
-	}
-	if n > c.opts.SubmitBatch {
-		n = c.opts.SubmitBatch
-	}
-	return n
+	return min(max(int(w.rate*windowHorizon.Seconds()), 1), batch)
 }
 
 // Register adds (or re-adds) a worker by base URL and starts its lane.
 // The same URL re-registering replaces the old entry: the stale lane is
 // cancelled and its cells return to the queue before the new lane starts.
 func (c *Coordinator) Register(rawURL string) (id string, interval time.Duration, err error) {
+	id, err = c.register(rawURL, false)
+	return id, c.opts.HeartbeatInterval, err
+}
+
+// register is Register for both kinds of worker; a declared one is
+// exempt from heartbeat expiry.
+func (c *Coordinator) register(rawURL string, declared bool) (string, error) {
 	u, err := url.Parse(rawURL)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		return "", 0, fmt.Errorf("coord: register: %q is not an http(s) base URL", rawURL)
+		return "", fmt.Errorf("coord: register: %q is not an http(s) base URL", rawURL)
 	}
 	base := strings.TrimRight(rawURL, "/")
 
 	c.mu.Lock()
 	if c.draining {
 		c.mu.Unlock()
-		return "", 0, errDraining
+		return "", errDraining
 	}
 	var stale *worker
 	for _, w := range c.workers {
@@ -101,7 +104,7 @@ func (c *Coordinator) Register(rawURL string) (id string, interval time.Duration
 		c.met.workers.Dec()
 	}
 	c.workerSeq++
-	w := &worker{id: fmt.Sprintf("w%04d", c.workerSeq), url: base, lastBeat: time.Now()}
+	w := &worker{id: fmt.Sprintf("w%04d", c.workerSeq), url: base, declared: declared, lastBeat: time.Now()}
 	ctx, cancel := context.WithCancel(c.baseCtx)
 	w.cancel = cancel
 	c.workers[w.id] = w
@@ -111,14 +114,14 @@ func (c *Coordinator) Register(rawURL string) (id string, interval time.Duration
 	if stale != nil {
 		stale.cancel() // its lane requeues leftovers on the way out
 	}
-	sp := c.opts.Tracer.StartRoot("cluster.register")
+	sp := c.startSpan("cluster.register")
 	sp.SetAttr("worker", w.id)
 	sp.SetAttr("url", base)
 	sp.End()
 	c.wg.Add(1)
 	go c.runWorkerLane(w, ctx)
-	c.log.Info("worker registered", "worker", w.id, "url", base)
-	return w.id, c.opts.HeartbeatInterval, nil
+	c.log.Info("worker registered", "worker", w.id, "url", base, "declared", declared)
+	return w.id, nil
 }
 
 // Heartbeat records one beat; false means the id is unknown (expired or
@@ -185,11 +188,10 @@ type WorkerView struct {
 	CellsPerSec   float64   `json:"cells_per_sec"`
 }
 
-// sweeper expires workers that stopped heartbeating: ExpireAfter silent
-// intervals cancel the worker's lane (failing its cells over to the
-// queue) and drop it from the registry — it is never probed again unless
-// it re-registers. This replaces the legacy mode's dead-base re-probing
-// with a structural guarantee.
+// sweeper expires registered workers that stopped heartbeating:
+// ExpireAfter silent intervals cancel the worker's lane (failing its
+// cells over to the queue) and drop it from the registry — it is never
+// probed again unless it re-registers. Declared workers are skipped.
 func (c *Coordinator) sweeper() {
 	defer c.wg.Done()
 	ticker := time.NewTicker(c.opts.HeartbeatInterval)
@@ -204,7 +206,7 @@ func (c *Coordinator) sweeper() {
 		var expired []*worker
 		c.mu.Lock()
 		for id, w := range c.workers {
-			if time.Since(w.lastBeat) > deadline {
+			if !w.declared && time.Since(w.lastBeat) > deadline {
 				delete(c.workers, id)
 				c.met.workers.Dec()
 				c.met.expired.Inc()
@@ -225,9 +227,10 @@ func (c *Coordinator) sweeper() {
 // closes. Leftovers always return to the fair queue.
 func (c *Coordinator) runWorkerLane(w *worker, ctx context.Context) {
 	defer c.wg.Done()
-	laneSpan := c.opts.Tracer.StartRoot("coord.lane")
+	laneSpan := c.startSpan("coord.lane")
 	laneSpan.SetAttr("worker", w.id)
 	laneSpan.SetAttr("url", w.url)
+	sched := &laneSched{c: c, w: w, ctx: ctx, span: laneSpan}
 	l := &dispatch.Lane{
 		Name:         w.url,
 		Base:         w.url,
@@ -241,8 +244,9 @@ func (c *Coordinator) runWorkerLane(w *worker, ctx context.Context) {
 			c.log.Info(fmt.Sprintf(format, args...), "worker", w.id)
 		},
 		Metrics: c.met.dispatch,
-		Sched:   &laneSched{c: c, w: w, ctx: ctx, span: laneSpan},
+		Sched:   sched,
 	}
+	sched.lane = l
 	leftovers, cause := l.Run()
 	c.requeue(leftovers)
 	laneSpan.SetAttr("requeued", len(leftovers))
@@ -266,20 +270,26 @@ func (c *Coordinator) dropDeadWorker(w *worker, cause error) {
 		c.met.workers.Dec()
 		c.met.expired.Inc()
 	}
+	empty := present && len(c.workers) == 0
 	c.mu.Unlock()
 	w.cancel()
 	if present {
-		c.log.Warn("worker dropped", "worker", w.id, "url", w.url, "error", cause.Error())
+		c.log.Warn("worker dead", "worker", w.id, "url", w.url, "error", cause.Error())
+	}
+	if empty && c.onFleetDead != nil {
+		c.onFleetDead()
 	}
 }
 
 // laneSched adapts the coordinator's shared queue to the lane engine:
-// Next/Fill pull from the weighted-fair queue (Fill capped by the
-// worker's adaptive window), Offload returns cells for other lanes to
-// steal, completions and failures land in the cell table.
+// Next/Fill pull from the weighted-fair queue (Fill keeps the lane's
+// in-flight cells within the worker's adaptive window), Offload returns
+// cells for other lanes to steal, completions and failures land in the
+// cell table.
 type laneSched struct {
 	c    *Coordinator
 	w    *worker
+	lane *dispatch.Lane
 	ctx  context.Context
 	span *trace.Span
 }
@@ -293,9 +303,7 @@ func (s *laneSched) Next() (*dispatch.Task, bool) {
 }
 
 func (s *laneSched) Fill(n int) []*dispatch.Task {
-	if limit := s.c.window(s.w) - 1; n > limit {
-		n = limit
-	}
+	n = min(n, s.c.window(s.w, s.lane.SubmitBatch)-s.lane.InFlight())
 	var out []*dispatch.Task
 	for len(out) < n {
 		cl, ok := s.c.queue.tryPop()
@@ -360,8 +368,3 @@ func (s *laneSched) Stamp(req *http.Request, sp *trace.Span) {
 }
 
 func (s *laneSched) StartSpan(name string) *trace.Span { return s.span.StartChild(name) }
-
-// Hopeless is always false: the registry holds exactly one lane per
-// worker, and a dead worker is dropped outright rather than left for
-// sibling lanes to re-probe.
-func (s *laneSched) Hopeless() bool { return false }

@@ -12,6 +12,7 @@ package coord
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/hex"
@@ -24,6 +25,9 @@ import (
 	"repro/internal/exp"
 	"repro/internal/service"
 )
+
+// webhookClient delivers envelopes when Options.Client is nil.
+var webhookClient = &http.Client{Timeout: 30 * time.Second}
 
 // SignatureHeader carries the envelope's HMAC: "sha256=<hex>".
 const SignatureHeader = "X-ALS-Signature"
@@ -279,7 +283,7 @@ func (c *Coordinator) deliver(sub *subscription, hash string) {
 		}
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set(SignatureHeader, sig)
-		resp, err := c.opts.Client.Do(req)
+		resp, err := cmp.Or(c.opts.Client, webhookClient).Do(req)
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode >= 200 && resp.StatusCode < 300 {

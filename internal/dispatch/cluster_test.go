@@ -1,9 +1,8 @@
-package dispatch
+package dispatch_test
 
 import (
+	"bytes"
 	"context"
-	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -11,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/dispatch"
 	"repro/internal/service"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -31,7 +31,7 @@ func TestResubmitConsultsStoreFirst(t *testing.T) {
 	}
 	defer st.Close()
 
-	real := newWorker(t, service.Options{})
+	real, _ := newWorker(t, service.Options{})
 	var forgot atomic.Bool
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") && forgot.CompareAndSwap(false, true) {
@@ -48,26 +48,14 @@ func TestResubmitConsultsStoreFirst(t *testing.T) {
 			w.Write([]byte(`{"error":"service: unknown job hash"}`)) //nolint:errcheck
 			return
 		}
-		resp, err := http.Get(real.URL + r.URL.Path)
-		if r.Method == http.MethodPost {
-			resp, err = http.Post(real.URL+r.URL.Path, "application/json", r.Body)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body) //nolint:errcheck
+		proxyTo(w, r, real.URL)
 	}))
 	t.Cleanup(proxy.Close)
 
 	reg := telemetry.NewRegistry()
-	m := NewMetrics(reg)
-	got, _, err := Run(context.Background(), jobs, fastOpts(Options{
-		Workers: []string{proxy.URL},
+	got, _, err := dispatch.Run(context.Background(), proxy.URL, jobs, fastOpts(dispatch.Options{
 		Store:   st,
-		Metrics: m,
+		Metrics: dispatch.NewMetrics(reg),
 		Logf:    t.Logf,
 	}))
 	if err != nil {
@@ -77,60 +65,11 @@ func TestResubmitConsultsStoreFirst(t *testing.T) {
 		t.Fatal("the injected 404 never triggered")
 	}
 	assertSameMetrics(t, got, want)
-	if n := m.resubmits.With(proxy.URL).Value(); n != 0 {
-		t.Fatalf("store-resolvable 404 caused %d resubmit(s), want 0", n)
+	var b bytes.Buffer
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestDeadBaseIsNotReprobed: once any lane declares a base dead, a
-// sibling lane against the same base reports Hopeless, so its transient
-// handling gives up on the first failure instead of burning a fresh
-// retry budget against a daemon already known to be gone.
-func TestDeadBaseIsNotReprobed(t *testing.T) {
-	s := &shared{
-		opts:      Options{Logf: t.Logf}.withDefaults(),
-		failover:  make(chan *Task, 4),
-		done:      make(chan struct{}),
-		stats:     &Stats{ByLane: map[string]int{}},
-		deadBases: map[string]bool{},
-	}
-	s.ctx, s.cancel = context.WithCancel(context.Background())
-	defer s.cancel()
-	s.live.Store(2)
-	s.remaining.Store(1)
-
-	r := &runSched{s: s, name: "http://w1:8080#2", base: "http://w1:8080"}
-	if r.Hopeless() {
-		t.Fatal("base must not start out dead")
-	}
-	s.laneDied("http://w1:8080#1", "http://w1:8080", errors.New("retry budget exhausted"), nil)
-	if !r.Hopeless() {
-		t.Fatal("sibling lane must see the base declared dead")
-	}
-	other := &runSched{s: s, name: "http://w2:8080", base: "http://w2:8080"}
-	if other.Hopeless() {
-		t.Fatal("an unrelated base must stay probeable")
-	}
-}
-
-// TestLocalLaneNeverHopeless: the in-process lane has no base URL and
-// must never inherit a worker's death sentence.
-func TestLocalLaneNeverHopeless(t *testing.T) {
-	s := &shared{
-		opts:      Options{Logf: t.Logf}.withDefaults(),
-		failover:  make(chan *Task, 4),
-		done:      make(chan struct{}),
-		stats:     &Stats{ByLane: map[string]int{}},
-		deadBases: map[string]bool{},
-	}
-	s.ctx, s.cancel = context.WithCancel(context.Background())
-	defer s.cancel()
-	s.live.Store(2)
-	s.remaining.Store(1)
-	s.laneDied("http://w1:8080", "http://w1:8080", errors.New("dead"), nil)
-
-	local := &runSched{s: s, name: "local", base: ""}
-	if local.Hopeless() {
-		t.Fatal("the local lane must never be hopeless")
+	if strings.Contains(b.String(), "als_dispatch_resubmits_total{") {
+		t.Fatalf("store-resolvable 404 caused a resubmit:\n%s", b.String())
 	}
 }

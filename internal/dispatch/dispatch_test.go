@@ -1,20 +1,27 @@
-package dispatch
+package dispatch_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	als "repro"
+	"repro/internal/coord"
+	"repro/internal/dispatch"
 	"repro/internal/exp"
 	"repro/internal/service"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 // testJobs is the cheapest real cross-experiment matrix: TABLE II on c880
@@ -29,8 +36,9 @@ func testJobs(seed int64) []exp.Job {
 	return append(exp.Table2Jobs(opts), exp.Table3Jobs(opts)...)
 }
 
-// newWorker boots an in-process alsd equivalent and returns its base URL.
-func newWorker(t *testing.T, opts service.Options) *httptest.Server {
+// newWorker boots an in-process alsd equivalent and returns its server
+// and the service behind it.
+func newWorker(t *testing.T, opts service.Options) (*httptest.Server, *service.Server) {
 	t.Helper()
 	if opts.Workers == 0 {
 		opts.Workers = 2
@@ -44,11 +52,11 @@ func newWorker(t *testing.T, opts service.Options) *httptest.Server {
 		ts.Close()
 		s.Close()
 	})
-	return ts
+	return ts, s
 }
 
 // fastOpts keeps retry/poll pacing test-friendly.
-func fastOpts(o Options) Options {
+func fastOpts(o dispatch.Options) dispatch.Options {
 	o.PollInterval = 2 * time.Millisecond
 	o.Backoff = 2 * time.Millisecond
 	o.MaxBackoff = 10 * time.Millisecond
@@ -85,16 +93,74 @@ func assertSameMetrics(t *testing.T, got, want exp.ResultSet) {
 	}
 }
 
+// metricValue reads one unlabelled sample from reg's exposition (0 when
+// absent).
+func metricValue(t *testing.T, reg *telemetry.Registry, name string) float64 {
+	t.Helper()
+	var b bytes.Buffer
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	return 0
+}
+
+// proxyTo forwards one request to the real worker and copies the answer.
+func proxyTo(w http.ResponseWriter, r *http.Request, real string) {
+	resp, err := http.Get(real + r.URL.Path)
+	if r.Method == http.MethodPost {
+		resp, err = http.Post(real+r.URL.Path, "application/json", r.Body)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
+	defer resp.Body.Close()
+	w.WriteHeader(resp.StatusCode)
+	io.Copy(w, resp.Body) //nolint:errcheck
+}
+
+// flakyWorker proxies a real worker but starts failing every request with
+// 500 once allow requests have been served — a deterministic mid-run
+// death.
+func flakyWorker(t *testing.T, allow int64) *httptest.Server {
+	t.Helper()
+	real, _ := newWorker(t, service.Options{})
+	var served atomic.Int64
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if served.Add(1) > allow {
+			http.Error(w, `{"error":"injected worker death"}`, http.StatusInternalServerError)
+			return
+		}
+		proxyTo(w, r, real.URL)
+	}))
+	t.Cleanup(proxy.Close)
+	return proxy
+}
+
+func deadURL() string {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close() // keep the URL, kill the listener
+	return dead.URL
+}
+
 func TestDistributedMatchesLocalRun(t *testing.T) {
 	jobs := testJobs(3)
 	want := wantResults(t, jobs)
 
-	w1 := newWorker(t, service.Options{})
-	w2 := newWorker(t, service.Options{})
-	got, stats, err := Run(context.Background(), jobs, fastOpts(Options{
-		Workers: []string{w1.URL, w2.URL},
-		Logf:    t.Logf,
-	}))
+	w1, s1 := newWorker(t, service.Options{})
+	w2, s2 := newWorker(t, service.Options{})
+	reg := telemetry.NewRegistry()
+	got, stats, err := coord.RunFleet(context.Background(), jobs, []string{w1.URL, w2.URL}, 0,
+		fastOpts(dispatch.Options{Metrics: dispatch.NewMetrics(reg), Logf: t.Logf}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,143 +168,103 @@ func TestDistributedMatchesLocalRun(t *testing.T) {
 	if stats.Executed != len(want) {
 		t.Fatalf("executed = %d, want %d", stats.Executed, len(want))
 	}
-	total := 0
-	for lane, n := range stats.ByLane {
-		if lane != w1.URL && lane != w2.URL {
-			t.Fatalf("unexpected lane %q", lane)
+	if n := s1.Stats().Executed + s2.Stats().Executed; n != len(want) {
+		t.Fatalf("workers executed %d cells in total, want %d", n, len(want))
+	}
+	for _, name := range []string{"als_dispatch_dead_lanes_total", "als_dispatch_failovers_total"} {
+		if n := metricValue(t, reg, name); n != 0 {
+			t.Fatalf("%s = %v on a healthy fleet, want 0", name, n)
 		}
-		total += n
 	}
-	if total != len(want) {
-		t.Fatalf("per-lane counts sum to %d, want %d", total, len(want))
-	}
-	if len(stats.DeadLanes) != 0 || stats.FailedOver != 0 {
-		t.Fatalf("healthy fleet reported deaths: %+v", stats)
+	// Each worker keeps its own completion series, as with per-worker lanes.
+	for _, w := range []struct {
+		url string
+		s   *service.Server
+	}{{w1.URL, s1}, {w2.URL, s2}} {
+		series := `als_dispatch_cells_completed_total{lane="` + w.url + `"}`
+		if n := metricValue(t, reg, series); n != float64(w.s.Stats().Executed) {
+			t.Fatalf("%s = %v, want the %d cells that worker ran", series, n, w.s.Stats().Executed)
+		}
 	}
 }
 
 func TestLocalShareOnlyMatchesLocalRun(t *testing.T) {
 	jobs := testJobs(4)
 	want := wantResults(t, jobs)
-	got, stats, err := Run(context.Background(), jobs, fastOpts(Options{
-		LocalJobs: 3,
-		Logf:      t.Logf,
-	}))
+	got, stats, err := coord.RunFleet(context.Background(), jobs, nil, 3, fastOpts(dispatch.Options{Logf: t.Logf}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameMetrics(t, got, want)
-	if stats.ByLane[localLaneName] != len(want) {
-		t.Fatalf("local lane ran %d cells, want %d", stats.ByLane[localLaneName], len(want))
+	if stats.Executed != len(want) {
+		t.Fatalf("local share ran %d cells, want %d", stats.Executed, len(want))
 	}
 }
 
 func TestMixedWorkersAndLocalShare(t *testing.T) {
 	jobs := testJobs(5)
 	want := wantResults(t, jobs)
-	w1 := newWorker(t, service.Options{})
-	got, stats, err := Run(context.Background(), jobs, fastOpts(Options{
-		Workers:   []string{w1.URL},
-		LocalJobs: 2,
-		Logf:      t.Logf,
-	}))
+	w1, s1 := newWorker(t, service.Options{})
+	got, stats, err := coord.RunFleet(context.Background(), jobs, []string{w1.URL}, 2, fastOpts(dispatch.Options{Logf: t.Logf}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameMetrics(t, got, want)
-	if stats.ByLane[w1.URL] == 0 || stats.ByLane[localLaneName] == 0 {
-		t.Fatalf("both the worker and the local share must execute cells: %+v", stats.ByLane)
+	if remote := s1.Stats().Executed; remote == 0 || remote == stats.Executed {
+		t.Fatalf("both the worker and the local share must execute cells: worker %d of %d", remote, stats.Executed)
 	}
 }
 
-// flakyWorker proxies a real worker but starts failing every request with
-// 500 once allow requests have been served — a deterministic mid-run
-// death.
-func flakyWorker(t *testing.T, allow int64) (*httptest.Server, *atomic.Int64) {
-	t.Helper()
-	real := newWorker(t, service.Options{})
-	var served atomic.Int64
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if served.Add(1) > allow {
-			http.Error(w, `{"error":"injected worker death"}`, http.StatusInternalServerError)
-			return
-		}
-		resp, err := http.Get(real.URL + r.URL.Path)
-		if r.Method == http.MethodPost {
-			resp, err = http.Post(real.URL+r.URL.Path, "application/json", r.Body)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.WriteHeader(resp.StatusCode)
-		buf := make([]byte, 32<<10)
-		for {
-			n, err := resp.Body.Read(buf)
-			if n > 0 {
-				w.Write(buf[:n]) //nolint:errcheck
-			}
-			if err != nil {
-				return
-			}
-		}
-	}))
-	t.Cleanup(proxy.Close)
-	return proxy, &served
-}
-
 // TestFailoverMidRun kills one of two workers after it has accepted work
-// (healthz + first submit round succeed, then nothing but 500s): the
-// survivor must absorb the dead lane's cells and the run must still match
-// the local reference exactly.
+// (one submit succeeds, then nothing but 500s): its lane dies, the
+// coordinator requeues its cells, the survivor absorbs them, and the run
+// still matches the local reference exactly.
 func TestFailoverMidRun(t *testing.T) {
 	jobs := testJobs(6)
 	want := wantResults(t, jobs)
-	healthy := newWorker(t, service.Options{})
-	flaky, _ := flakyWorker(t, 2) // healthz + one submit, then dead
-	got, stats, err := Run(context.Background(), jobs, fastOpts(Options{
-		Workers: []string{healthy.URL, flaky.URL},
+	healthy, _ := newWorker(t, service.Options{})
+	flaky := flakyWorker(t, 1)
+	reg := telemetry.NewRegistry()
+	got, _, err := coord.RunFleet(context.Background(), jobs, []string{healthy.URL, flaky.URL}, 0, fastOpts(dispatch.Options{
+		Metrics: dispatch.NewMetrics(reg),
 		Logf:    t.Logf,
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameMetrics(t, got, want)
-	if len(stats.DeadLanes) != 1 || stats.DeadLanes[0] != flaky.URL {
-		t.Fatalf("flaky lane must be reported dead: %+v", stats.DeadLanes)
+	if n := metricValue(t, reg, "als_cluster_workers_expired_total"); n != 1 {
+		t.Fatalf("als_cluster_workers_expired_total = %v, want the flaky worker dropped", n)
 	}
-	if stats.FailedOver == 0 {
-		t.Fatal("dead lane owned cells, so failover count must be positive")
+	if n := metricValue(t, reg, "als_dispatch_failovers_total"); n == 0 {
+		t.Fatal("the dead lane held cells, so its failover count must be positive")
 	}
-	if stats.ByLane[healthy.URL] != len(want) {
-		t.Fatalf("survivor must complete every cell: %+v", stats.ByLane)
+	if n := metricValue(t, reg, "als_cluster_steals_total"); n == 0 {
+		t.Fatal("the survivor must take over the dead lane's cells")
 	}
 }
 
 // TestDeadAtStartWorkerFailsOver: a worker that never comes up (connection
-// refused from the first request) loses its share to the survivor.
+// refused from the first request) loses its cells to the survivor.
 func TestDeadAtStartWorkerFailsOver(t *testing.T) {
 	jobs := testJobs(7)
 	want := wantResults(t, jobs)
-	healthy := newWorker(t, service.Options{})
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close() // keep the URL, kill the listener
-
-	got, stats, err := Run(context.Background(), jobs, fastOpts(Options{
-		Workers: []string{healthy.URL, dead.URL},
+	healthy, _ := newWorker(t, service.Options{})
+	reg := telemetry.NewRegistry()
+	got, _, err := coord.RunFleet(context.Background(), jobs, []string{healthy.URL, deadURL()}, 0, fastOpts(dispatch.Options{
+		Metrics: dispatch.NewMetrics(reg),
 		Logf:    t.Logf,
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameMetrics(t, got, want)
-	if len(stats.DeadLanes) != 1 || stats.DeadLanes[0] != dead.URL {
-		t.Fatalf("dead-at-start lane must be reported: %+v", stats.DeadLanes)
+	if n := metricValue(t, reg, "als_dispatch_dead_lanes_total"); n != 1 {
+		t.Fatalf("als_dispatch_dead_lanes_total = %v, want the dead-at-start lane", n)
 	}
 }
 
-// TestAllLanesDeadIsResumable: when every lane dies the run errors, but
+// TestAllLanesDeadIsResumable: when every worker dies the run errors, but
 // the store keeps what finished, and a local re-run with the same store
 // completes the sweep — the distributed path never forfeits -resume.
 func TestAllLanesDeadIsResumable(t *testing.T) {
@@ -249,21 +275,22 @@ func TestAllLanesDeadIsResumable(t *testing.T) {
 	}
 	defer st.Close()
 
-	f1, _ := flakyWorker(t, 1) // healthz only, dead at first submit
-	f2, _ := flakyWorker(t, 1)
-	_, stats, err := Run(context.Background(), jobs, fastOpts(Options{
-		Workers: []string{f1.URL, f2.URL},
+	f1 := flakyWorker(t, 0) // dead at first submit
+	f2 := flakyWorker(t, 0)
+	reg := telemetry.NewRegistry()
+	_, _, err = coord.RunFleet(context.Background(), jobs, []string{f1.URL, f2.URL}, 0, fastOpts(dispatch.Options{
 		Store:   st,
+		Metrics: dispatch.NewMetrics(reg),
 		Logf:    t.Logf,
 	}))
 	if err == nil {
 		t.Fatal("run with every lane dead must fail")
 	}
-	if !strings.Contains(err.Error(), "unfinished") {
-		t.Fatalf("error must report unfinished cells: %v", err)
+	if !strings.Contains(err.Error(), "unfinished") || errors.Is(err, context.Canceled) {
+		t.Fatalf("error must report unfinished cells, not an interruption: %v", err)
 	}
-	if len(stats.DeadLanes) != 2 {
-		t.Fatalf("both lanes must be dead: %+v", stats.DeadLanes)
+	if n := metricValue(t, reg, "als_cluster_workers_expired_total"); n != 2 {
+		t.Fatalf("als_cluster_workers_expired_total = %v, want both workers reported dead", n)
 	}
 
 	rs, runStats, err := exp.RunJobs(jobs, 0, st)
@@ -276,48 +303,42 @@ func TestAllLanesDeadIsResumable(t *testing.T) {
 	assertSameMetrics(t, rs, wantResults(t, jobs))
 }
 
-// TestUnreachableFleetWithoutLocalShareFailsFast: the readiness preflight
-// turns a typo'd fleet into an immediate, clear error.
+// TestUnreachableFleetWithoutLocalShareFailsFast: the client's readiness
+// preflight turns a typo'd URL into an immediate, clear error.
 func TestUnreachableFleetWithoutLocalShareFailsFast(t *testing.T) {
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	_, _, err := Run(context.Background(), testJobs(9), fastOpts(Options{
-		Workers: []string{dead.URL},
-		Logf:    t.Logf,
-	}))
+	_, _, err := dispatch.Run(context.Background(), deadURL(), testJobs(9), fastOpts(dispatch.Options{Logf: t.Logf}))
 	if err == nil || !strings.Contains(err.Error(), "healthz") {
-		t.Fatalf("unreachable fleet must fail the preflight: %v", err)
+		t.Fatalf("unreachable URL must fail the preflight: %v", err)
 	}
 }
 
 // TestOverCapOverrideFailsFastWithWorkers: a spec the worker API would
 // 400 (here: a population override beyond the service resource cap)
 // fails the run up front with the job named — before any worker is
-// contacted — while a pure local share still runs it.
+// contacted.
 func TestOverCapOverrideFailsFastWithWorkers(t *testing.T) {
 	jobs := testJobs(13)
 	jobs[0].Population = service.MaxPopulation + 1
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close() // never contacted: validation precedes the preflight
-	_, _, err := Run(context.Background(), jobs[:1], fastOpts(Options{
-		Workers: []string{dead.URL},
-		Logf:    t.Logf,
-	}))
+	// Never contacted: validation precedes the preflight.
+	_, _, err := dispatch.Run(context.Background(), deadURL(), jobs[:1], fastOpts(dispatch.Options{Logf: t.Logf}))
 	if err == nil || !strings.Contains(err.Error(), "population") || !strings.Contains(err.Error(), "-workers") {
 		t.Fatalf("over-cap spec must fail fast naming the cap: %v", err)
 	}
 }
 
 func TestNoLanesConfiguredErrors(t *testing.T) {
-	_, _, err := Run(context.Background(), testJobs(1), Options{})
+	_, _, err := coord.RunFleet(context.Background(), testJobs(1), nil, 0, dispatch.Options{})
 	if err == nil || !strings.Contains(err.Error(), "no workers") {
-		t.Fatalf("lane-less run must error: %v", err)
+		t.Fatalf("lane-less fleet must error: %v", err)
+	}
+	if _, _, err := dispatch.Run(context.Background(), "", testJobs(1), dispatch.Options{}); err == nil || !strings.Contains(err.Error(), "no worker") {
+		t.Fatalf("URL-less run must error: %v", err)
 	}
 }
 
 // TestCachedRunNeedsNoWorkers: a fully cached sweep returns before any
 // HTTP traffic — resubmitting a finished sweep costs nothing even when
-// the fleet is gone.
+// the worker is gone.
 func TestCachedRunNeedsNoWorkers(t *testing.T) {
 	jobs := testJobs(10)
 	st, err := store.Open(filepath.Join(t.TempDir(), "results.jsonl"))
@@ -330,12 +351,9 @@ func TestCachedRunNeedsNoWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	got, stats, err := Run(context.Background(), jobs, fastOpts(Options{
-		Workers: []string{dead.URL},
-		Store:   st,
-		Logf:    t.Logf,
+	got, stats, err := dispatch.Run(context.Background(), deadURL(), jobs, fastOpts(dispatch.Options{
+		Store: st,
+		Logf:  t.Logf,
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +370,7 @@ func TestCachedRunNeedsNoWorkers(t *testing.T) {
 func TestWorkerAmnesiaResubmits(t *testing.T) {
 	jobs := testJobs(11)
 	want := wantResults(t, jobs)
-	real := newWorker(t, service.Options{})
+	real, _ := newWorker(t, service.Options{})
 	var forgot atomic.Bool
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") && forgot.CompareAndSwap(false, true) {
@@ -361,33 +379,11 @@ func TestWorkerAmnesiaResubmits(t *testing.T) {
 			w.Write([]byte(`{"error":"service: unknown job hash"}`)) //nolint:errcheck
 			return
 		}
-		resp, err := http.Get(real.URL + r.URL.Path)
-		if r.Method == http.MethodPost {
-			resp, err = http.Post(real.URL+r.URL.Path, "application/json", r.Body)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.WriteHeader(resp.StatusCode)
-		buf := make([]byte, 32<<10)
-		for {
-			n, rerr := resp.Body.Read(buf)
-			if n > 0 {
-				w.Write(buf[:n]) //nolint:errcheck
-			}
-			if rerr != nil {
-				return
-			}
-		}
+		proxyTo(w, r, real.URL)
 	}))
 	t.Cleanup(proxy.Close)
 
-	got, _, err := Run(context.Background(), jobs, fastOpts(Options{
-		Workers: []string{proxy.URL},
-		Logf:    t.Logf,
-	}))
+	got, _, err := dispatch.Run(context.Background(), proxy.URL, jobs, fastOpts(dispatch.Options{Logf: t.Logf}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,41 +398,56 @@ func TestWorkerAmnesiaResubmits(t *testing.T) {
 func TestCancelledRunWrapsContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := Run(ctx, testJobs(12), fastOpts(Options{
-		LocalJobs: 2,
-		Logf:      t.Logf,
-	}))
+	_, _, err := coord.RunFleet(ctx, testJobs(12), nil, 2, fastOpts(dispatch.Options{Logf: t.Logf}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run error = %v, want context.Canceled wrap", err)
 	}
 }
 
-// TestPartitionIsDeterministicAndTotal: every hash maps to exactly one
-// lane, stably.
-func TestPartitionIsDeterministicAndTotal(t *testing.T) {
-	jobs := testJobs(3)
-	for _, lanes := range []int{1, 2, 3, 7} {
-		counts := make([]int, lanes)
-		for _, j := range jobs {
-			h, err := j.Hash()
+// TestSlowCellDoesNotStallLane: the lane tops itself up every round
+// instead of waiting for its whole batch, so one cell that stays running
+// never idles the worker. The proxy holds the first submitted cell at
+// "running" until every other cell has been submitted, which a lane that
+// waits out each batch never does.
+func TestSlowCellDoesNotStallLane(t *testing.T) {
+	jobs := testJobs(14)
+	want := wantResults(t, jobs)
+	real, _ := newWorker(t, service.Options{})
+	var submitted atomic.Int64
+	var held atomic.Value // hash of the first submitted cell
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			body, _ := io.ReadAll(r.Body)
+			resp, err := http.Post(real.URL+r.URL.Path, "application/json", bytes.NewReader(body))
 			if err != nil {
-				t.Fatal(err)
+				http.Error(w, err.Error(), http.StatusBadGateway)
+				return
 			}
-			lane := laneForHash(h, lanes)
-			if lane != laneForHash(h, lanes) {
-				t.Fatal("placement must be deterministic")
+			defer resp.Body.Close()
+			raw, _ := io.ReadAll(resp.Body)
+			var br service.BatchResponse
+			if json.Unmarshal(raw, &br) == nil && len(br.Jobs) > 0 {
+				held.CompareAndSwap(nil, br.Jobs[0].Hash)
+				submitted.Add(int64(len(br.Jobs)))
 			}
-			if lane < 0 || lane >= lanes {
-				t.Fatalf("lane %d out of range [0,%d)", lane, lanes)
-			}
-			counts[lane]++
+			w.WriteHeader(resp.StatusCode)
+			w.Write(raw) //nolint:errcheck
+			return
 		}
-		total := 0
-		for _, c := range counts {
-			total += c
+		if h, _ := held.Load().(string); h != "" && r.URL.Path == "/v1/jobs/"+h && submitted.Load() < int64(len(want)) {
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(service.JobView{Hash: h, Status: service.StatusRunning}) //nolint:errcheck
+			return
 		}
-		if total != len(jobs) {
-			t.Fatalf("partition dropped cells: %v over %d jobs", counts, len(jobs))
-		}
+		proxyTo(w, r, real.URL)
+	}))
+	t.Cleanup(proxy.Close)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	got, _, err := dispatch.Run(ctx, proxy.URL, jobs, fastOpts(dispatch.Options{SubmitBatch: 4, Logf: t.Logf}))
+	if err != nil {
+		t.Fatalf("lane stalled behind its slow cell: %v", err)
 	}
+	assertSameMetrics(t, got, want)
 }

@@ -1,12 +1,10 @@
-// The lane engine: the reusable half of the dispatcher. A Lane drives
-// one worker URL through the worker job API — submit batches of specs,
-// poll results by content hash, retry transient transport failures with
-// capped exponential backoff, requeue cells the worker forgot or
-// cancelled — exactly the machinery cmd/experiments' static fleet mode
-// has always used, extracted behind a LaneScheduler so the coordinator
-// daemon (internal/coord) can reuse it with a different scheduling
-// policy (shared weighted-fair queue, throughput-adaptive windows, work
-// stealing) instead of static hash partitioning.
+// The lane engine. A Lane drives one worker URL through the worker job
+// API — submit batches of specs, poll results by content hash, retry
+// transient transport failures with capped exponential backoff, requeue
+// cells the worker forgot or cancelled. The scheduling policy sits behind
+// LaneScheduler: Run feeds its one lane from the pending list, and the
+// coordinator (internal/coord) feeds one lane per worker from its shared
+// weighted-fair queue.
 package dispatch
 
 import (
@@ -39,17 +37,17 @@ type LaneScheduler interface {
 	// Next blocks until a task is available for this lane; ok=false shuts
 	// the lane down cleanly (run finished, worker drained, …).
 	Next() (t *Task, ok bool)
-	// Fill returns up to n more tasks without blocking, letting the lane
-	// batch several cells into one submission. An adaptive scheduler caps
-	// this by the worker's observed throughput.
+	// Fill returns up to n more tasks without blocking. The lane calls it
+	// every round to keep SubmitBatch cells in flight; an adaptive
+	// scheduler caps it by the worker's observed throughput.
 	Fill(n int) []*Task
 	// Context governs the lane's lifetime: its cancellation stops the
 	// lane between steps and aborts in-flight worker requests.
 	Context() context.Context
 	// Offload hands unsubmitted tasks back when the worker reports a full
-	// queue. Returning false keeps them lane-local (the static fleet
-	// mode); returning true lets an idle lane steal them (the
-	// coordinator's shared queue).
+	// queue. Returning false keeps them lane-local (Run's single lane);
+	// returning true lets an idle lane steal them (the coordinator's
+	// shared queue).
 	Offload(tasks []*Task) bool
 	// Sleep pauses between polls and backoffs, waking early on shutdown.
 	Sleep(d time.Duration)
@@ -72,24 +70,31 @@ type LaneScheduler interface {
 	// StartSpan opens a child span for one worker round trip (nil is
 	// fine; trace spans are nil-safe).
 	StartSpan(name string) *trace.Span
-	// Hopeless reports that this lane's base URL has already been
-	// declared dead elsewhere (another lane to the same daemon exhausted
-	// its budget), so burning a second retry budget re-probing it is
-	// pointless.
-	Hopeless() bool
 }
+
+// DefaultSubmitBatch is Lane.SubmitBatch when the field is zero.
+const DefaultSubmitBatch = 16
 
 // Lane drives one worker base URL. Configure the exported fields, then
 // call Run from a single goroutine; all internal state is
-// goroutine-local.
+// goroutine-local. Zero knobs take the defaults noted on each field when
+// Run starts.
 type Lane struct {
-	Name         string // label for logs and metrics (usually the URL)
-	Base         string // worker base URL, no trailing slash
-	Client       *http.Client
-	SubmitBatch  int
-	RetryBudget  int
-	Backoff      time.Duration
-	MaxBackoff   time.Duration
+	Name   string       // label for logs and metrics (usually the URL)
+	Base   string       // worker base URL, no trailing slash
+	Client *http.Client // default: 30s timeout
+	// SubmitBatch caps job specs per submission and cells in flight on
+	// the lane (default 16, at most service.MaxBatchJobs), so a worker at
+	// the default 64-deep queue absorbs several lanes' bursts.
+	SubmitBatch int
+	// RetryBudget is how many consecutive transport failures the lane
+	// tolerates before it dies (default 4).
+	RetryBudget int
+	// Backoff is the first retry delay; it doubles per consecutive
+	// failure up to MaxBackoff (defaults 100ms and 2s).
+	Backoff    time.Duration
+	MaxBackoff time.Duration
+	// PollInterval spaces result polls (default 50ms).
 	PollInterval time.Duration
 	Logf         func(format string, args ...any)
 	Metrics      *Metrics
@@ -117,9 +122,7 @@ type Lane struct {
 // failover (the run is ending anyway) unless the caller wants to
 // requeue them.
 func (l *Lane) Run() ([]*Task, error) {
-	if l.Logf == nil {
-		l.Logf = func(string, ...any) {}
-	}
+	l.fillDefaults()
 	l.outstanding = map[string]*Task{}
 	defer func() {
 		if l.resubmits > 1 {
@@ -127,25 +130,60 @@ func (l *Lane) Run() ([]*Task, error) {
 		}
 	}()
 	for {
-		if len(l.unsubmitted) == 0 && len(l.outstanding) == 0 {
+		if l.InFlight() == 0 {
 			t, ok := l.Sched.Next()
 			if !ok {
 				return l.leftovers(), nil
 			}
 			l.unsubmitted = append(l.unsubmitted, t)
-			if n := l.SubmitBatch - len(l.unsubmitted); n > 0 {
-				l.unsubmitted = append(l.unsubmitted, l.Sched.Fill(n)...)
-			}
+		}
+		// Top the lane back up to a full batch every round, so the worker
+		// never idles while one slow cell of the last batch finishes.
+		if n := l.SubmitBatch - l.InFlight(); n > 0 {
+			l.unsubmitted = append(l.unsubmitted, l.Sched.Fill(n)...)
 		}
 		if err := l.step(); err != nil {
 			if errors.Is(err, errPermanent) {
 				return l.leftovers(), nil // the run itself is failing; nothing to fail over to
 			}
-			return l.leftovers(), err
+			left := l.leftovers()
+			l.Metrics.laneDead(len(left))
+			return left, err
 		}
 		if l.cancelled() {
 			return l.leftovers(), nil
 		}
+	}
+}
+
+// InFlight is how many cells the lane holds, submitted or not. Run keeps
+// it at SubmitBatch while the scheduler has cells; a scheduler may read
+// it from Fill to cap the lane lower.
+func (l *Lane) InFlight() int { return len(l.unsubmitted) + len(l.outstanding) }
+
+// fillDefaults gives every zero knob its documented default.
+func (l *Lane) fillDefaults() {
+	if l.Client == nil {
+		l.Client = &http.Client{Timeout: 30 * time.Second}
+	}
+	if l.SubmitBatch <= 0 {
+		l.SubmitBatch = DefaultSubmitBatch
+	}
+	l.SubmitBatch = min(l.SubmitBatch, service.MaxBatchJobs)
+	if l.RetryBudget <= 0 {
+		l.RetryBudget = 4
+	}
+	if l.Backoff <= 0 {
+		l.Backoff = 100 * time.Millisecond
+	}
+	if l.MaxBackoff <= 0 {
+		l.MaxBackoff = 2 * time.Second
+	}
+	if l.PollInterval <= 0 {
+		l.PollInterval = 50 * time.Millisecond
+	}
+	if l.Logf == nil {
+		l.Logf = func(string, ...any) {}
 	}
 }
 
@@ -183,16 +221,11 @@ func (l *Lane) step() error {
 }
 
 // transient handles one transport-level failure: back off and retry until
-// the consecutive-failure budget is spent, then report the lane dead. A
-// base another lane already declared dead is not worth a second budget —
-// the lane dies on its first failure instead of re-probing it.
+// the consecutive-failure budget is spent, then report the lane dead.
 func (l *Lane) transient(op string, err error) error {
 	l.failures++
 	if l.failures > l.RetryBudget {
 		return fmt.Errorf("%s failed %d consecutive time(s): %w", op, l.failures, err)
-	}
-	if l.Sched.Hopeless() {
-		return fmt.Errorf("%s failed and %s is already declared dead: %w", op, l.Base, err)
 	}
 	l.Metrics.retried(l.Name)
 	backoff := l.Backoff << (l.failures - 1)
@@ -206,12 +239,14 @@ func (l *Lane) transient(op string, err error) error {
 }
 
 // complete publishes one finished cell through the scheduler, converting
-// a publication failure into a run-fatal error.
+// a publication failure into a run-fatal error, and counts it for the
+// lane.
 func (l *Lane) complete(t *Task, r exp.JobResult) error {
 	if err := l.Sched.Complete(t, r); err != nil {
 		l.Sched.Fatal(err)
 		return errPermanent
 	}
+	l.Metrics.cellCompleted(l.Name)
 	return nil
 }
 

@@ -70,7 +70,7 @@ func RunJobs(jobs []Job, workers int, st *store.Store) (ResultSet, RunStats, err
 // st is non-nil, strips cells whose results are already persisted, loading
 // those into rs. It returns the jobs still to be computed alongside their
 // hashes (parallel slices) and the Cached/Deduped counts — the shared
-// prelude of the local scheduler and the distributed coordinator
+// prelude of the local scheduler and the sweep client
 // (internal/dispatch), which differ only in where the pending cells run.
 func PendingJobs(jobs []Job, st *store.Store, rs ResultSet) (pending []Job, hashes []string, stats RunStats, err error) {
 	seen := map[string]bool{}
