@@ -43,7 +43,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/baselines"
 	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -85,13 +84,13 @@ func (m Method) String() string {
 	case MethodDCGWO:
 		return "Ours"
 	case MethodVecbeeSasimi:
-		return baselines.VecbeeSasimi.String()
+		return "VECBEE-S"
 	case MethodVaACS:
-		return baselines.VaACS.String()
+		return "VaACS"
 	case MethodHEDALS:
-		return baselines.HEDALS.String()
+		return "HEDALS"
 	case MethodSingleChaseGWO:
-		return baselines.SingleChaseGWO.String()
+		return "GWO (single-chase)"
 	}
 	return fmt.Sprintf("Method(%d)", uint8(m))
 }
@@ -204,7 +203,7 @@ type FlowConfig struct {
 	// any value; schedulers that run several flows concurrently set it
 	// so nested pools don't oversubscribe the machine.
 	EvalWorkers int
-	// Progress, when non-nil, is invoked once per optimizer iteration
+	// Progress, when non-nil, is invoked after every optimizer iteration
 	// (DCGWO) or round (baselines) from the flow's goroutine. It draws no
 	// randomness, so installing it never changes results; the alsd
 	// service uses it to report live per-job progress.
@@ -259,7 +258,10 @@ type FlowResult struct {
 	// Approx is the optimizer's best netlist before post-optimization;
 	// Final is the compacted, resized netlist.
 	Approx, Final *netlist.Circuit
-	// History is DCGWO's convergence trace (nil for baselines).
+	// History is the optimizer's convergence trace: one entry per
+	// completed iteration (DCGWO) or round (baselines), numbered from 1 —
+	// the stats behind that round's FlowProgress report. A greedy baseline
+	// that converges early has fewer entries than Iterations.
 	History []core.IterStats
 	// Cache reports the evaluation cache's effectiveness over the run.
 	Cache EvalCacheStats

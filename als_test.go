@@ -80,23 +80,70 @@ func TestFlowDeterministic(t *testing.T) {
 	}
 }
 
-func TestFlowHistoryOnlyForDCGWO(t *testing.T) {
+// TestFlowHistoryRecordsEveryRound checks that History holds one entry per
+// round the optimizer ran, numbered from 1, for DCGWO (which always runs
+// every iteration) and for HEDALS (which may converge early).
+func TestFlowHistoryRecordsEveryRound(t *testing.T) {
 	lib := als.NewLibrary()
+	for _, method := range []als.Method{als.MethodDCGWO, als.MethodHEDALS} {
+		cfg := quickCfg(als.MetricER, 0.05)
+		cfg.Method = method
+		rounds := 0
+		cfg.Progress = func(als.FlowProgress) { rounds++ }
+		res, err := als.Flow(als.Benchmark("c880"), lib, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if method == als.MethodDCGWO && rounds != cfg.Iterations {
+			t.Errorf("DCGWO ran %d rounds, want %d", rounds, cfg.Iterations)
+		}
+		if rounds == 0 || len(res.History) != rounds {
+			t.Errorf("%v: history has %d entries for %d rounds", method, len(res.History), rounds)
+		}
+		for i, h := range res.History {
+			if h.Iter != i+1 {
+				t.Errorf("%v: history[%d].Iter = %d, want %d", method, i, h.Iter, i+1)
+			}
+		}
+	}
+}
+
+// TestFlowProgressReachesFinalRound checks that every method reports its
+// last round: the final progress event carries the run's full evaluation
+// count, and there is one event per History entry.
+func TestFlowProgressReachesFinalRound(t *testing.T) {
+	lib := als.NewLibrary()
+	for _, method := range als.AllMethods() {
+		t.Run(method.String(), func(t *testing.T) {
+			cfg := quickCfg(als.MetricER, 0.05)
+			cfg.Method = method
+			var events []als.FlowProgress
+			cfg.Progress = func(p als.FlowProgress) { events = append(events, p) }
+			res, err := als.Flow(als.Benchmark("c880"), lib, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(events) == 0 {
+				t.Fatal("no progress events")
+			}
+			if last := events[len(events)-1]; last.Evaluations != res.Evaluations || last.Iter != len(events) {
+				t.Errorf("last progress event %+v, want Iter %d and %d evaluations", last, len(events), res.Evaluations)
+			}
+			if len(events) != len(res.History) {
+				t.Errorf("%d progress events, %d history entries", len(events), len(res.History))
+			}
+		})
+	}
+}
+
+// TestFlowUnknownMethod checks that a FlowConfig naming no optimizer
+// fails instead of running one.
+func TestFlowUnknownMethod(t *testing.T) {
 	cfg := quickCfg(als.MetricER, 0.05)
-	res, err := als.Flow(als.Benchmark("c880"), lib, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.History) != cfg.Iterations {
-		t.Errorf("DCGWO history has %d entries, want %d", len(res.History), cfg.Iterations)
-	}
-	cfg.Method = als.MethodHEDALS
-	res, err = als.Flow(als.Benchmark("c880"), lib, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.History != nil {
-		t.Error("baselines have no convergence history")
+	cfg.Method = als.Method(99)
+	res, err := als.Flow(als.Benchmark("c880"), als.NewLibrary(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "Method(99)") {
+		t.Fatalf("Flow with Method(99) = (%v, %v), want an error naming the method", res, err)
 	}
 }
 
@@ -138,6 +185,29 @@ func TestFlowEvalWorkersDoesNotChangeResults(t *testing.T) {
 			t.Fatalf("EvalWorkers=%d changed results: %v/%v/%d vs %v/%v/%d",
 				w, res.RatioCPD, res.Err, res.Evaluations, ref.RatioCPD, ref.Err, ref.Evaluations)
 		}
+	}
+}
+
+// TestMethodNames pins every optimizer's name to its Table II column
+// heading and checks that AllMethods lists each of them.
+func TestMethodNames(t *testing.T) {
+	want := map[als.Method]string{
+		als.MethodDCGWO:          "Ours",
+		als.MethodVecbeeSasimi:   "VECBEE-S",
+		als.MethodVaACS:          "VaACS",
+		als.MethodHEDALS:         "HEDALS",
+		als.MethodSingleChaseGWO: "GWO (single-chase)",
+	}
+	if len(als.AllMethods()) != len(want) {
+		t.Errorf("AllMethods() lists %d methods, want %d", len(als.AllMethods()), len(want))
+	}
+	for _, m := range als.AllMethods() {
+		if m.String() != want[m] {
+			t.Errorf("%d.String() = %q, want %q", m, m.String(), want[m])
+		}
+	}
+	if als.Method(99).String() != "Method(99)" {
+		t.Errorf("Method(99).String() = %q", als.Method(99).String())
 	}
 }
 

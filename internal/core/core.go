@@ -22,6 +22,22 @@
 //   - Asymptotic error relaxation: Err(iter) = b·iter² + Err0 grows
 //     quadratically to the user budget, preventing an early rush to the
 //     constraint boundary.
+//
+// The four comparison methods of the paper's evaluation run on the same
+// Optimizer — same setup, vectors, Evaluator and run bookkeeping — so the
+// experiments compare optimizer strategies and nothing else:
+//
+//   - VECBEE-SASIMI [Su et al., TCAD'22]: area-driven greedy
+//     substitution — repeatedly apply the highest-similarity LAC with the
+//     best area saving that keeps the error within budget.
+//   - VaACS [Balaskas et al., TCSI'22]: genetic optimization of
+//     approximate circuits, depth-driven fitness.
+//   - HEDALS [Meng et al., TCAD'23]: delay-driven greedy — apply the LAC
+//     on the critical path with the best delay reduction under the error
+//     budget.
+//   - Single-chase GWO [Mirjalili et al.]: the traditional grey wolf
+//     optimizer with one guidance hierarchy and plain fitness-truncation
+//     selection (no population division, no non-dominated sorting).
 package core
 
 import (
@@ -55,8 +71,11 @@ func (m Metric) String() string {
 	return "NMED"
 }
 
-// Config holds every DCGWO parameter. The zero value is invalid; use
-// DefaultConfig and override fields as needed.
+// Config holds every optimizer parameter. The zero value is invalid; use
+// DefaultConfig and override fields as needed. The baselines read the
+// run-wide fields (Metric, ErrorBudget, PopulationSize, MaxIter,
+// DepthWeight, Vectors, EvalWorkers, Progress, OnImproved, Seed) and
+// ignore the DCGWO-specific ones.
 type Config struct {
 	// Metric is the constrained error measure.
 	Metric Metric
@@ -104,9 +123,9 @@ type Config struct {
 	// Results are identical at any value; outer schedulers that shard
 	// whole flows set it to avoid nested-pool oversubscription.
 	EvalWorkers int
-	// Progress, when non-nil, is invoked once per iteration with the
-	// iteration's convergence stats (the same record appended to
-	// Result.History). It is called from the optimization goroutine and
+	// Progress, when non-nil, is invoked at the end of every iteration
+	// (DCGWO) or round (baselines) with its convergence stats (the same
+	// record appended to Result.History). It is called from the optimization goroutine and
 	// draws no randomness, so installing it never perturbs results; a
 	// serving layer uses it to report live per-job progress and to decide
 	// when to cancel.
@@ -210,17 +229,19 @@ type IterStats struct {
 	Cache CacheStats
 }
 
-// Result is the outcome of one DCGWO run.
+// Result is the outcome of one optimizer run.
 type Result struct {
 	// Best is the highest-fitness individual meeting the final budget.
 	Best *Individual
 	// Front is the feasible non-dominated subset of the final population
 	// (plus Best) under the depth/area objectives — the delay/area
 	// trade-off set the population explored, of which Best is the
-	// single-fitness summary. It is assembled by FeasibleFront after the
+	// single-fitness summary. The greedy baselines keep no population, so
+	// their Front is drawn from Best and the final current circuit. It is assembled by FeasibleFront after the
 	// optimization loop, so collecting it never perturbs the run.
 	Front []*Individual
-	// History holds per-iteration convergence stats.
+	// History holds per-iteration (per-round) convergence stats, one
+	// entry per completed round, numbered from 1.
 	History []IterStats
 	// Evaluations counts circuit evaluations performed.
 	Evaluations int
@@ -231,8 +252,9 @@ type Result struct {
 // Evaluator bundles the fixed evaluation context of one optimization run:
 // the cell library, the error estimator bound to the accurate circuit, the
 // error metric, the fitness depth weight, and the accurate circuit's
-// reference delay/area. The baseline optimizers share it so every method
-// is compared on an identical substrate (as in the paper's experiments).
+// reference delay/area. Every Optimizer method evaluates through it, so
+// all methods are compared on an identical substrate (as in the paper's
+// experiments).
 //
 // Candidates are simulated by the incremental fanout-cone engine
 // (sim.Simulator) against the accurate circuit's cached golden waveforms,

@@ -2,104 +2,24 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 
-	"repro/internal/cell"
-	"repro/internal/lac"
 	"repro/internal/netlist"
-	"repro/internal/sim"
-	"repro/internal/sta"
 )
 
-// Optimizer runs DCGWO on one accurate circuit.
-type Optimizer struct {
-	cfg  Config
-	lib  *cell.Library
-	base *netlist.Circuit // accurate circuit with constants materialized
-	eval *Evaluator
-	rng  *rand.Rand
-	wt   float64 // Level weight wt = 0.9·CPDori
-}
-
-// New prepares a DCGWO run: it clones the accurate circuit, materializes
-// the constant gates (so the whole population shares one gate ID space),
-// samples the Monte-Carlo vectors, and measures the reference delay/area.
-func New(accurate *netlist.Circuit, lib *cell.Library, cfg Config) (*Optimizer, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	base := accurate.Clone()
-	base.Const0()
-	base.Const1()
-	if err := base.Validate(); err != nil {
-		return nil, fmt.Errorf("core: accurate circuit: %w", err)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	vectors := sim.Random(rng, len(base.PIs), cfg.Vectors)
-	eval, err := NewEvaluator(base, lib, cfg.Metric, cfg.DepthWeight, vectors)
-	if err != nil {
-		return nil, err
-	}
-	eval.SetMaxWorkers(cfg.EvalWorkers)
-	return &Optimizer{
-		cfg:  cfg,
-		lib:  lib,
-		base: base,
-		rng:  rng,
-		wt:   0.9 * eval.RefDelay(),
-		eval: eval,
-	}, nil
-}
-
-// Evaluator exposes the run's shared evaluation context (for the baseline
-// optimizers and the experiment harness).
-func (o *Optimizer) Evaluator() *Evaluator { return o.eval }
-
-// Base returns the constant-materialized clone of the accurate circuit
-// whose gate ID space the population shares.
-func (o *Optimizer) Base() *netlist.Circuit { return o.base }
-
-// RefDelay returns CPDori of the accurate circuit under this library.
-func (o *Optimizer) RefDelay() float64 { return o.eval.RefDelay() }
-
-// RefArea returns Areaori of the accurate circuit.
-func (o *Optimizer) RefArea() float64 { return o.eval.RefArea() }
-
-// searchClone applies one circuit-searching action to a fresh clone of the
-// individual: simulate, time, build Tc, pick a target, substitute the most
-// similar switch. When the netlist offers no searching move (e.g. the
-// critical path is a bare wire) it falls back to a random LAC. The clone
-// is simulated by the incremental engine (it differs from the accurate
-// circuit only by the parent's accumulated LACs), which is exact, so the
-// similarity-guided pick is identical to one made on a full simulation.
-func (o *Optimizer) searchClone(ind *Individual) (*netlist.Circuit, error) {
-	clone := ind.Circuit.Clone()
-	res, err := o.eval.Simulate(clone)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := sta.Analyze(clone, o.lib)
-	if err != nil {
-		return nil, err
-	}
-	tries := o.cfg.SearchTries
-	if tries < 1 {
-		tries = 1
-	}
-	if _, ok := lac.SearchN(clone, res, rep, o.rng, o.cfg.CritMargin, tries); !ok {
-		lac.RandomChange(clone, res, o.rng)
-	}
-	return clone, nil
+// search is DCGWO's circuit-searching action, on the Config's critical
+// margin with its SearchTries (at least one) samples of Tc.
+func (o *Optimizer) search(ind *Individual) (*netlist.Circuit, error) {
+	return o.searchClone(ind, o.cfg.CritMargin, max(1, o.cfg.SearchTries))
 }
 
 // reproduceWith merges ind with the partner (falling back to a clone of
 // the better parent plus a searching move when the merge is cyclic).
 func (o *Optimizer) reproduceWith(ind, partner *Individual) (*netlist.Circuit, error) {
 	if o.cfg.DisableReproduction {
-		return o.searchClone(ind)
+		return o.search(ind)
 	}
 	child := reproduce(ind, partner, o.wt, o.cfg.WeightErr)
 	if child != nil {
@@ -109,7 +29,7 @@ func (o *Optimizer) reproduceWith(ind, partner *Individual) (*netlist.Circuit, e
 	if partner.Fit > ind.Fit {
 		better = partner
 	}
-	return o.searchClone(better)
+	return o.search(better)
 }
 
 // Run executes the full DCGWO loop and returns the best approximate
@@ -123,38 +43,17 @@ func (o *Optimizer) Run() (*Result, error) { return o.RunContext(context.Backgro
 // and a cancelled-then-rerun flow reproduces the original result exactly.
 func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 	cfg := o.cfg
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: optimization cancelled before start: %w", err)
+	r, err := o.begin(ctx)
+	if err != nil {
+		return nil, err
 	}
-	pop := make([]*Individual, 0, cfg.PopulationSize)
-
 	// Initial population P0: the accurate circuit plus clones mutated by
-	// random LACs (searching-style similarity picks on random targets).
-	// The mutated clones are independent, so they are evaluated as one
-	// parallel batch after the (serial, rng-consuming) mutation pass.
-	o.eval.BeginGeneration()
-	first, err := o.eval.Evaluate(o.base.Clone())
+	// InitLACs random LACs each.
+	pop, err := o.initial(cfg.PopulationSize-1, cfg.InitLACs)
 	if err != nil {
 		return nil, err
 	}
-	pop = append(pop, first)
-	clones := make([]*netlist.Circuit, 0, cfg.PopulationSize-1)
-	for len(clones) < cfg.PopulationSize-1 {
-		clone := o.base.Clone()
-		for k := 0; k < cfg.InitLACs; k++ {
-			res, err := o.eval.Simulate(clone)
-			if err != nil {
-				return nil, err
-			}
-			lac.RandomChange(clone, res, o.rng)
-		}
-		clones = append(clones, clone)
-	}
-	inds, err := o.eval.EvaluateBatch(clones)
-	if err != nil {
-		return nil, err
-	}
-	pop = append(pop, inds...)
+	first := pop[0]
 
 	// Quadratic relaxation Err(iter) = b·iter² + Err0 (paper §III-B),
 	// with b chosen so the constraint reaches the budget at
@@ -167,28 +66,15 @@ func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 	relaxIters := relaxAt * float64(cfg.MaxIter)
 	bQuad := (cfg.ErrorBudget - err0) / (relaxIters * relaxIters)
 
-	best := bestFeasible(pop, cfg.ErrorBudget)
-	if best != nil && cfg.OnImproved != nil {
-		cfg.OnImproved(best)
-	}
-	result := &Result{}
-	// consider tracks the best individual over everything evaluated, not
-	// just selection survivors: a child rejected by the current relaxed
+	// The running best is tracked over everything evaluated, not just
+	// selection survivors: a child rejected by the current relaxed
 	// constraint may still satisfy the user's final budget.
-	consider := func(ind *Individual) {
-		if ind.Err <= cfg.ErrorBudget && (best == nil || ind.Fit > best.Fit) {
-			best = ind
-			if cfg.OnImproved != nil {
-				cfg.OnImproved(ind)
-			}
-		}
-	}
+	r.consider(bestFeasible(pop, cfg.ErrorBudget))
 
 	for iter := 1; iter <= cfg.MaxIter; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: optimization cancelled at iteration %d/%d: %w", iter, cfg.MaxIter, err)
+		if err := r.round(iter); err != nil {
+			return nil, err
 		}
-		o.eval.BeginGeneration()
 		errAllowed := math.Min(cfg.ErrorBudget, err0+bQuad*float64(iter*iter))
 		a := 2 - 2*float64(iter)/float64(cfg.MaxIter)
 
@@ -227,7 +113,7 @@ func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 			if w > cfg.EliteThreshold {
 				child, err = o.reproduceWith(ci, superior(pop, ci, o.rng))
 			} else {
-				child, err = o.searchClone(ci)
+				child, err = o.search(ci)
 			}
 			if err != nil {
 				return nil, err
@@ -245,7 +131,7 @@ func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 				// Both actions: search, evaluate, then reproduce the
 				// searched circuit with an elite partner. Both results
 				// join the candidate pool.
-				searched, err := o.searchClone(ci)
+				searched, err := o.search(ci)
 				if err != nil {
 					return nil, err
 				}
@@ -260,7 +146,7 @@ func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 				}
 				addChild(child)
 			case o.rng.Float64() < 0.5:
-				child, err := o.searchClone(ci)
+				child, err := o.search(ci)
 				if err != nil {
 					return nil, err
 				}
@@ -275,7 +161,7 @@ func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 		}
 
 		// The leader searches after the double chase to keep varying.
-		leaderChild, err := o.searchClone(leader)
+		leaderChild, err := o.search(leader)
 		if err != nil {
 			return nil, err
 		}
@@ -290,7 +176,7 @@ func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 			if ind == nil {
 				ind = evaluated[ref.batch]
 			}
-			consider(ind)
+			r.consider(ind)
 			candidates = append(candidates, ind)
 		}
 
@@ -312,7 +198,7 @@ func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 		// Elitism: the best feasible circuit found so far always stays in
 		// the pack (it is the leader the next chase consults), replacing
 		// the worst survivor if the Pareto selection dropped it.
-		if best != nil && best.Err <= errAllowed {
+		if best := r.best; best != nil && best.Err <= errAllowed {
 			present := false
 			for _, ind := range pop {
 				if ind == best {
@@ -330,28 +216,9 @@ func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 				pop[worst] = best
 			}
 		}
-
-		stats := IterStats{
-			Iter:        iter,
-			BestFit:     best.Fit,
-			BestDelay:   best.Delay,
-			BestArea:    best.Area,
-			BestErr:     best.Err,
-			ErrAllowed:  errAllowed,
-			Evaluations: o.eval.Count(),
-			Cache:       o.eval.CacheStats(),
-		}
-		result.History = append(result.History, stats)
-		if cfg.Progress != nil {
-			cfg.Progress(stats)
-		}
+		r.checkpoint(iter, errAllowed)
 	}
-
-	result.Best = best
-	result.Front = FeasibleFront(best, pop, cfg.ErrorBudget, o.eval.RefDelay(), o.eval.RefArea())
-	result.Evaluations = o.eval.Count()
-	result.Cache = o.eval.CacheStats()
-	return result, nil
+	return r.result(pop), nil
 }
 
 // superior returns a random population member with strictly better fitness
@@ -367,16 +234,4 @@ func superior(pop []*Individual, ci *Individual, rng *rand.Rand) *Individual {
 		return pop[0]
 	}
 	return better[rng.Intn(len(better))]
-}
-
-// bestFeasible returns the highest-fitness individual within the final
-// error budget, or nil.
-func bestFeasible(pop []*Individual, budget float64) *Individual {
-	var best *Individual
-	for _, ind := range pop {
-		if ind.Err <= budget && (best == nil || ind.Fit > best.Fit) {
-			best = ind
-		}
-	}
-	return best
 }

@@ -6,8 +6,7 @@ import (
 	"repro/internal/netlist"
 )
 
-// Reproduce exposes circuit reproduction to the baseline optimizers (the
-// VaACS genetic baseline uses the same crossover mechanism). It returns
+// Reproduce exposes circuit reproduction outside the package. It returns
 // nil when the parents have different gate ID spaces or the merge would be
 // cyclic.
 func Reproduce(p1, p2 *Individual, wt, we float64) *netlist.Circuit {

@@ -331,6 +331,64 @@ func TestWALVerilogReplay(t *testing.T) {
 	}
 }
 
+// TestWALVerilogReplayMatchesUninterruptedRun replays uploads whose
+// rendering differs from the source — a module name with no identifier
+// letters, a dead instance, a constant literal. Each must either be
+// refused at submit or, once accepted, replay from its WAL record to the
+// same hash and the same result bytes as an uninterrupted run.
+func TestWALVerilogReplayMatchesUninterruptedRun(t *testing.T) {
+	for name, src := range map[string]string{
+		"numeric module": "module 0();input a;output 0;INVX1 0(.A(a).Y(0));endmodule",
+		"dead instance": `module m(a, b, y); input a, b; output y; wire n1, n2;
+			NAND2X1 g1(.A(a), .B(b), .Y(n1)); XOR2X1 g2(.A(a), .B(b), .Y(n2)); assign y = n2; endmodule`,
+		"constant literal": `module m(a, b, y); input a, b; output y; wire n1;
+			MAJ3X1 g1(.A(a), .B(b), .C(1'b1), .Y(n1)); assign y = n1; endmodule`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			req := Request{Verilog: src, Metric: "er", Budget: 0.2, Seed: 3}
+			sp, err := validate(req)
+			if err != nil {
+				return // refused at submit: nothing is promised
+			}
+			dir := t.TempDir()
+			canon := sp.request()
+			raw, err := json.Marshal(walRecord{Op: walOpAccept, Hash: sp.hash, Req: &canon})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "queue.wal"), append(raw, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, st, _ := walServer(t, dir, Options{Workers: 1})
+			views := s.Jobs()
+			if len(views) != 1 || views[0].Hash != sp.hash {
+				t.Fatalf("replayed job table %+v, want one job with hash %s", views, sp.hash)
+			}
+			if got := waitServerDone(t, s, views[0].ID); got.Status != StatusDone {
+				t.Fatalf("replayed verilog job ended %q (error %q)", got.Status, got.Error)
+			}
+
+			ref, refStore, _ := walServer(t, t.TempDir(), Options{Workers: 1})
+			v, err := ref.Submit(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitServerDone(t, ref, v.ID)
+			var got, want exp.JobResult
+			if ok, err := st.Decode(sp.hash, &got); !ok || err != nil {
+				t.Fatalf("replayed result missing: (%v, %v)", ok, err)
+			}
+			if ok, err := refStore.Decode(sp.hash, &want); !ok || err != nil {
+				t.Fatalf("reference result missing: (%v, %v)", ok, err)
+			}
+			got.RuntimeNS, want.RuntimeNS = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("replayed result = %+v, uninterrupted run = %+v", got, want)
+			}
+		})
+	}
+}
+
 // TestWALRecordShapeFrozen pins the on-disk record schema documented in
 // docs/STORAGE.md: op/hash/req field names and the op vocabulary are a
 // contract with every future daemon that replays today's files.

@@ -24,7 +24,9 @@ func Write(c *netlist.Circuit) string {
 	var b strings.Builder
 	names := netNames(c)
 
-	fmt.Fprintf(&b, "// Generated by the DCGWO-ALS flow.\nmodule %s (", sanitizeIdent(c.Name))
+	// A name with no identifier characters left (e.g. "0") renders as
+	// "top", which Parse accepts back.
+	fmt.Fprintf(&b, "// Generated by the DCGWO-ALS flow.\nmodule %s (", nonEmpty(sanitizeIdent(c.Name), "top"))
 	var ports []string
 	for _, pi := range c.PIs {
 		ports = append(ports, names[pi])
@@ -97,6 +99,9 @@ func netNames(c *netlist.Circuit) []string {
 		n := sanitizeIdent(base)
 		if n == "" || used[n] {
 			n = fmt.Sprintf("%s_%d", nonEmpty(n, "n"), id)
+			for used[n] {
+				n += "_"
+			}
 		}
 		used[n] = true
 		names[id] = n
@@ -132,8 +137,8 @@ func nonEmpty(s, alt string) string {
 
 func sanitizeIdent(s string) string {
 	var b strings.Builder
-	for i, r := range s {
-		ok := r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9' && i > 0)
+	for _, r := range s {
+		ok := r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9' && b.Len() > 0)
 		if ok {
 			b.WriteRune(r)
 		} else if r == '[' || r == ']' || r == '.' || r == '-' {
@@ -480,5 +485,44 @@ func buildCircuit(name string, inputs, outputs []string, insts []instance,
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return c, nil
+	return canonical(c), nil
+}
+
+// canonical renumbers a parsed circuit in the order Write lays it out —
+// inputs, the live constants, the live instances in source order, then
+// outputs — dropping dead instances. A netlist and its rendering thus
+// parse to the same gate IDs, so re-parsing a rendered upload reproduces
+// the original flow exactly.
+func canonical(c *netlist.Circuit) *netlist.Circuit {
+	live := c.Live()
+	remap := make([]int, len(c.Gates))
+	nc := netlist.New(c.Name)
+	for _, pi := range c.PIs {
+		remap[pi] = nc.AddInput(c.Gates[pi].Name)
+	}
+	if id, ok := c.ConstID(false); ok && live[id] {
+		remap[id] = nc.Const0()
+	}
+	if id, ok := c.ConstID(true); ok && live[id] {
+		remap[id] = nc.Const1()
+	}
+	var gates []int
+	for id, g := range c.Gates {
+		if live[id] && !g.Func.IsPseudo() {
+			remap[id] = len(nc.Gates) + len(gates)
+			gates = append(gates, id)
+		}
+	}
+	for _, id := range gates {
+		g := c.Gates[id]
+		g.Fanin = append([]int(nil), g.Fanin...)
+		for pin, fi := range g.Fanin {
+			g.Fanin[pin] = remap[fi]
+		}
+		nc.Gates = append(nc.Gates, g)
+	}
+	for _, po := range c.POs {
+		nc.AddOutput(c.Gates[po].Name, remap[c.Gates[po].Fanin[0]])
+	}
+	return nc
 }

@@ -318,3 +318,27 @@ endmodule`
 		}()
 	}
 }
+
+// FuzzParse checks that Parse never panics and that Write∘Parse is a
+// fixed point on everything Parse accepts: the rendering of a parsed
+// netlist parses again and renders to the same text. The service stores
+// and replays uploads in their rendered form, so an accepted upload must
+// survive that round trip. The seed corpus lives in
+// testdata/fuzz/FuzzParse.
+func FuzzParse(f *testing.F) {
+	f.Add(Write(sampleCircuit()))
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := Parse(src)
+		if err != nil {
+			return
+		}
+		once := Write(c)
+		again, err := Parse(once)
+		if err != nil {
+			t.Fatalf("rendering does not parse: %v\n%s", err, once)
+		}
+		if twice := Write(again); twice != once {
+			t.Fatalf("Write∘Parse is not a fixed point:\n%s\n---\n%s", once, twice)
+		}
+	})
+}

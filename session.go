@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/baselines"
 	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/netlist"
@@ -24,7 +23,8 @@ type EventKind uint8
 
 const (
 	// EventProgress reports one completed optimizer iteration (DCGWO) or
-	// round (baselines); a run emits exactly one per iteration.
+	// round (baselines); a run emits exactly one per iteration, numbered
+	// from 1.
 	EventProgress EventKind = iota + 1
 	// EventImproved reports a new best feasible solution the moment the
 	// optimizer finds it. The solution is pre-post-optimization: its
@@ -237,6 +237,21 @@ type runHooks struct {
 // hooks.wantFront is set it additionally post-optimizes the optimizer's
 // feasible non-dominated set (capped at topK) into a Front.
 func runFlow(ctx context.Context, accurate *netlist.Circuit, lib *cell.Library, cfg FlowConfig, hooks runHooks) (*FlowResult, Front, error) {
+	var run func(*core.Optimizer, context.Context) (*core.Result, error)
+	switch cfg.Method {
+	case MethodDCGWO:
+		run = (*core.Optimizer).RunContext
+	case MethodVecbeeSasimi:
+		run = (*core.Optimizer).VecbeeSasimi
+	case MethodVaACS:
+		run = (*core.Optimizer).VaACS
+	case MethodHEDALS:
+		run = (*core.Optimizer).HEDALS
+	case MethodSingleChaseGWO:
+		run = (*core.Optimizer).SingleChaseGWO
+	default:
+		return nil, nil, fmt.Errorf("als: unknown method %v", cfg.Method)
+	}
 	ref, err := sta.Analyze(accurate, lib)
 	if err != nil {
 		return nil, nil, fmt.Errorf("als: accurate circuit: %w", err)
@@ -304,54 +319,24 @@ func runFlow(ctx context.Context, accurate *netlist.Circuit, lib *cell.Library, 
 	}
 
 	start := time.Now()
-	var best *core.Individual
-	var coreFront []*core.Individual
-	var history []core.IterStats
-	var cache core.CacheStats
-	evaluations := 0
-	if cfg.Method == MethodDCGWO {
-		ccfg := core.DefaultConfig(cfg.Metric, cfg.ErrorBudget)
-		ccfg.PopulationSize = cfg.Population
-		ccfg.MaxIter = cfg.Iterations
-		ccfg.Vectors = cfg.Vectors
-		ccfg.DepthWeight = cfg.DepthWeight
-		ccfg.EvalWorkers = cfg.EvalWorkers
-		ccfg.Progress = progress
-		ccfg.OnImproved = onImproved
-		ccfg.Seed = cfg.Seed
-		opt, err := core.New(accurate, lib, ccfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := opt.RunContext(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		best, coreFront, history, evaluations = res.Best, res.Front, res.History, res.Evaluations
-		cache = res.Cache
-	} else {
-		bcfg := baselines.DefaultConfig(cfg.Metric, cfg.ErrorBudget)
-		bcfg.Rounds = cfg.Iterations
-		bcfg.Population = cfg.Population
-		bcfg.Vectors = cfg.Vectors
-		bcfg.DepthWeight = cfg.DepthWeight
-		bcfg.EvalWorkers = cfg.EvalWorkers
-		bcfg.Progress = progress
-		bcfg.OnImproved = onImproved
-		bcfg.Seed = cfg.Seed
-		method := map[Method]baselines.Method{
-			MethodVecbeeSasimi:   baselines.VecbeeSasimi,
-			MethodVaACS:          baselines.VaACS,
-			MethodHEDALS:         baselines.HEDALS,
-			MethodSingleChaseGWO: baselines.SingleChaseGWO,
-		}[cfg.Method]
-		res, err := baselines.RunContext(ctx, method, accurate, lib, bcfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		best, coreFront, evaluations = res.Best, res.Front, res.Evaluations
-		cache = res.Cache
+	ccfg := core.DefaultConfig(cfg.Metric, cfg.ErrorBudget)
+	ccfg.PopulationSize = cfg.Population
+	ccfg.MaxIter = cfg.Iterations
+	ccfg.Vectors = cfg.Vectors
+	ccfg.DepthWeight = cfg.DepthWeight
+	ccfg.EvalWorkers = cfg.EvalWorkers
+	ccfg.Progress = progress
+	ccfg.OnImproved = onImproved
+	ccfg.Seed = cfg.Seed
+	opt, err := core.New(accurate, lib, ccfg)
+	if err != nil {
+		return nil, nil, err
 	}
+	res, err := run(opt, ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	best := res.Best
 	if best == nil {
 		return nil, nil, fmt.Errorf("%w (budget %v)", ErrInfeasible, cfg.ErrorBudget)
 	}
@@ -365,7 +350,7 @@ func runFlow(ctx context.Context, accurate *netlist.Circuit, lib *cell.Library, 
 
 	var front Front
 	if hooks.wantFront {
-		front, err = buildFront(coreFront, best, post, lib, areaCon, ref.CPD, hooks.topK)
+		front, err = buildFront(res.Front, best, post, lib, areaCon, ref.CPD, hooks.topK)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -387,11 +372,11 @@ func runFlow(ctx context.Context, accurate *netlist.Circuit, lib *cell.Library, 
 		AreaFinal:   post.Area,
 		Err:         best.Err,
 		Runtime:     elapsed,
-		Evaluations: evaluations,
+		Evaluations: res.Evaluations,
 		Approx:      best.Circuit,
 		Final:       post.Circuit,
-		History:     history,
-		Cache:       evalCacheStatsFrom(cache),
+		History:     res.History,
+		Cache:       evalCacheStatsFrom(res.Cache),
 	}, front, nil
 }
 
